@@ -11,6 +11,14 @@ Pipeline for a Hermitian positive-definite system B x = b:
    |1>, read out the vector register, and de-normalize using the known
    ||b|| and the scaling factor.
 
+The paper parameterises phase estimation and the reciprocal rotation only
+at the beginning stage, because B' and B'' stay constant through a
+fast-decoupled solve. PreparedSystem follows that: when it is built it
+fixes the phase-estimation gate sequence and its inverse (the controlled
+powers and their adjoints, each checked unitary once) and the (cos, sin)
+pair of the ancilla rotation for every clock value. A solve then only
+applies them to its right-hand side.
+
 Eigenvalue scaling prefers an evolution time that lands every eigenvalue
 on (or near) a clock integer, falling back to a margin rule that places
 the largest eigenvalue just below the top of the clock range.
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +41,10 @@ from . import linalg, statevector as sv
 EXACT_ATOL = 1e-9
 SNAP_ATOL = 1e-2
 SUPPORT_PROBABILITY = 1e-12
+# Largest statevector prepare_system accepts. A gate or transform holds a
+# few copies of the state at once, so a solve stays near 1 GiB; beyond it
+# the clock size is an input error, caught before any state-sized work.
+MAX_STATE_BYTES = 1 << 28
 
 
 class PrecisionWarning(UserWarning):
@@ -51,7 +63,6 @@ class HHLConfig:
     n_clock: int = 4
     rotation_constant: float | None = None
     eigenvalue_margin: float = 0.95
-    post_select: bool = True
 
     def __post_init__(self):
         if self.n_clock < 1:
@@ -64,7 +75,12 @@ class HHLConfig:
 
 @dataclass(frozen=True)
 class PreparedSystem:
-    """Everything solve() needs, computed once per matrix."""
+    """Everything solve() needs, computed once per matrix.
+
+    The QPE gate sequences and the per-clock-value rotation are derived
+    from ``unitary_powers``, ``rotation_constant`` and ``layout`` when the
+    system is built.
+    """
 
     matrix: np.ndarray
     padded_matrix: np.ndarray
@@ -78,6 +94,33 @@ class PreparedSystem:
     rotation_constant: float
     exact_encoding: bool
     warning: str | None = None
+    qpe_gates: tuple[sv.GateOp, ...] = field(init=False, repr=False, compare=False)
+    inverse_qpe_gates: tuple[sv.GateOp, ...] = field(init=False, repr=False, compare=False)
+    rotation_cos: np.ndarray = field(init=False, repr=False, compare=False)
+    rotation_sin: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Clock qubit k controls the evolution raised to 2^(n_clock-1-k), so
+        # the clock integer (qubit 0 = most significant) reads the encoded
+        # eigenvalue.
+        nc = self.layout.n_clock
+        targets = tuple(self.layout.vector_qubits)
+        hadamards = tuple(sv.hadamard(k) for k in range(nc))
+        powers = self.unitary_powers[::-1]
+        controlled = tuple(sv.controlled_unitary(k, targets, powers[k]) for k in range(nc))
+        adjoints = tuple(
+            sv.controlled_unitary(k, targets, powers[k].conj().T) for k in reversed(range(nc))
+        )
+        object.__setattr__(self, "qpe_gates", hadamards + controlled)
+        object.__setattr__(self, "inverse_qpe_gates", adjoints + hadamards[::-1])
+
+        # sin(theta_m/2) = C/m on clock values m >= max(1, C); the rest keep
+        # the identity (cos 1, sin 0).
+        m = np.arange(self.layout.clock_dim, dtype=float)
+        c = self.rotation_constant
+        sin_half = np.divide(c, m, out=np.zeros_like(m), where=(m >= 1.0) & (m >= c))
+        object.__setattr__(self, "rotation_sin", sin_half)
+        object.__setattr__(self, "rotation_cos", np.sqrt(1.0 - sin_half * sin_half))
 
     @property
     def dimension(self) -> int:
@@ -107,13 +150,17 @@ def _choose_scale(
     lam_min, lam_max = eigenvalues[0], eigenvalues[-1]
     target = config.eigenvalue_margin * m_top
 
+    # Candidate scales put lambda_max on the integers floor(target), ..., 1,
+    # largest first; one row of ``enc`` per candidate.
+    scales = np.arange(math.floor(target), 0, -1, dtype=float) / lam_max
+    enc = scales[:, None] * eigenvalues
+    nearest = np.round(enc)
+    fits = np.all(nearest >= 1, axis=1)
+    off_integer = np.abs(enc - nearest).max(axis=1)
     for atol in (EXACT_ATOL, SNAP_ATOL):
-        for m in range(int(math.floor(target)), 0, -1):
-            s = m / lam_max
-            enc = eigenvalues * s
-            nearest = np.round(enc)
-            if np.all(nearest >= 1) and np.all(np.abs(enc - nearest) <= atol):
-                return s, bool(atol == EXACT_ATOL), None
+        hits = np.flatnonzero(fits & (off_integer <= atol))
+        if hits.size:
+            return scales[hits[0]], bool(atol == EXACT_ATOL), None
 
     ratio = lam_max / lam_min
     s = target / lam_max
@@ -138,6 +185,16 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
     """
     config = config or HHLConfig()
     b_matrix = linalg.validate_hermitian(b_matrix, "B")
+    n = b_matrix.shape[0]
+    n_vector = max(1, math.ceil(math.log2(n)))
+    layout = sv.RegisterLayout(config.n_clock, n_vector)
+    state_bytes = (1 << layout.n_qubits) * np.dtype(complex).itemsize
+    if state_bytes > MAX_STATE_BYTES:
+        raise ValueError(
+            f"n_clock={config.n_clock} needs a {layout.n_qubits}-qubit statevector of "
+            f"{state_bytes / 2**20:.6g} MiB, over the {MAX_STATE_BYTES / 2**20:.6g} MiB "
+            "limit; use fewer clock qubits"
+        )
     dec = linalg.hermitian_eigendecomposition(b_matrix)
     bad = dec.eigenvalues[dec.eigenvalues <= 0.0]
     if bad.size:
@@ -146,8 +203,6 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
             + ", ".join(f"{v:.6g}" for v in bad)
         )
 
-    n = b_matrix.shape[0]
-    n_vector = max(1, math.ceil(math.log2(n)))
     dim = 1 << n_vector
     padded = np.eye(dim, dtype=complex)
     padded[:n, :n] = b_matrix
@@ -177,7 +232,7 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
     return PreparedSystem(
         matrix=b_matrix,
         padded_matrix=padded,
-        layout=sv.RegisterLayout(config.n_clock, n_vector),
+        layout=layout,
         config=config,
         time_step=t,
         scale=scale,
@@ -190,37 +245,35 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
     )
 
 
+def _check_layout(prepared: PreparedSystem, state: sv.StateVector):
+    if state.layout != prepared.layout:
+        raise ValueError(
+            f"state layout {state.layout} does not match the prepared system's "
+            f"{prepared.layout}"
+        )
+
+
 def run_qpe(prepared: PreparedSystem, state: sv.StateVector) -> sv.StateVector:
     """Phase estimation: entangle clock values with the eigencomponents.
 
-    Clock qubit k controls the evolution raised to 2^(n_clock-1-k), so the
-    clock integer (qubit 0 = most significant) reads the encoded eigenvalue.
+    Applies the prepared Hadamards and controlled powers, then the inverse
+    QFT, so the clock integer reads the encoded eigenvalue.
     """
-    lay = state.layout
-    nc = lay.n_clock
+    _check_layout(prepared, state)
     probs = state.clock_probabilities()
     if 1.0 - probs[0] > sv.NORM_ATOL:
         raise ValueError("clock register must start in |0...0>")
-    targets = tuple(lay.vector_qubits)
-    for k in range(nc):
-        state = sv.apply_gate(state, sv.hadamard(k))
-    for k in range(nc):
-        u = prepared.unitary_powers[nc - 1 - k]
-        state = sv.apply_gate(state, sv.controlled_unitary(k, targets, u))
+    for gate in prepared.qpe_gates:
+        state = sv.apply_gate(state, gate)
     return sv.apply_inverse_qft(state)
 
 
 def run_inverse_qpe(prepared: PreparedSystem, state: sv.StateVector) -> sv.StateVector:
     """Exact adjoint of run_qpe; disentangles the clock back to |0...0>."""
-    lay = state.layout
-    nc = lay.n_clock
-    targets = tuple(lay.vector_qubits)
+    _check_layout(prepared, state)
     state = sv.apply_qft(state)
-    for k in reversed(range(nc)):
-        u = prepared.unitary_powers[nc - 1 - k].conj().T
-        state = sv.apply_gate(state, sv.controlled_unitary(k, targets, u))
-    for k in reversed(range(nc)):
-        state = sv.apply_gate(state, sv.hadamard(k))
+    for gate in prepared.inverse_qpe_gates:
+        state = sv.apply_gate(state, gate)
     return state
 
 
@@ -241,17 +294,12 @@ def apply_reciprocal_rotation(
             f"rotation constant {c:.6g} exceeds smallest populated clock value "
             f"{supported[0]} (amplitude C/m would exceed 1)"
         )
-    t = state.tensor().copy()
-    for m in range(1, state.layout.clock_dim):
-        if c > m:
-            continue  # unpopulated by the check above; leave the branch alone
-        sin_half = c / m
-        cos_half = math.sqrt(1.0 - sin_half * sin_half)
-        a0 = t[m, :, 0].copy()
-        a1 = t[m, :, 1].copy()
-        t[m, :, 0] = cos_half * a0 - sin_half * a1
-        t[m, :, 1] = sin_half * a0 + cos_half * a1
-    return sv.StateVector(state.layout, t.reshape(-1))
+    t = state.tensor()
+    a0, a1 = t[:, :, 0], t[:, :, 1]
+    cos_half = prepared.rotation_cos[:, None]
+    sin_half = prepared.rotation_sin[:, None]
+    out = np.stack((cos_half * a0 - sin_half * a1, sin_half * a0 + cos_half * a1), axis=-1)
+    return sv.StateVector(state.layout, out.reshape(-1))
 
 
 def clock_leakage(state: sv.StateVector) -> float:
@@ -265,15 +313,13 @@ def solve(
     b: np.ndarray,
     *,
     diagnostics: bool = True,
-    seed: int | None = None,
 ) -> HHLSolution:
     """Solve B x = b through the full circuit and de-normalize the readout.
 
     The returned solution satisfies B x ~ b up to the encoding precision;
     when ``diagnostics`` is set the fidelity against the direct classical
-    solve is attached. With config.post_select=False the ancilla is sampled
-    (repeat-until-success, reproducible via ``seed``) instead of being
-    post-selected deterministically; the accepted state is identical.
+    solve is attached. The ancilla is post-selected on |1>
+    deterministically, since the simulator holds exact amplitudes.
     """
     b = np.asarray(b, dtype=complex)
     n = prepared.dimension
@@ -292,21 +338,7 @@ def solve(
     state = apply_reciprocal_rotation(state, prepared)
     state = run_inverse_qpe(prepared, state)
 
-    if prepared.config.post_select:
-        _, success_probability, state = sv.measure_qubit(
-            state, lay.ancilla_qubit, post_select=1
-        )
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(10_000):
-            outcome, p, collapsed = sv.measure_qubit(
-                state, lay.ancilla_qubit, seed=int(rng.integers(2**63))
-            )
-            if outcome == 1:
-                success_probability, state = p, collapsed
-                break
-        else:
-            raise RuntimeError("ancilla never measured |1> in 10000 shots")
+    _, success_probability, state = sv.measure_qubit(state, lay.ancilla_qubit, post_select=1)
     vec, slice_norm = sv.extract_register(state)
     leakage = max(0.0, 1.0 - slice_norm * slice_norm)
 

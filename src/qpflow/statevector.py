@@ -10,6 +10,12 @@ Conventions, fixed package-wide:
   eigenvalue estimate directly, most significant bit first.
 * Operations are functional: they return new StateVector values and never
   mutate their inputs, so states are safe to share across callers.
+* The clock-register QFT and its inverse are orthonormal FFTs along the
+  clock axis, O(M log M) for each vector-and-ancilla column.
+* A gate on consecutive target qubits reshapes the amplitudes so that its
+  targets form one axis and multiplies along it, and a control qubit picks
+  its |1> half through the same kind of reshape; only gates on scattered
+  or reordered targets transpose the state.
 """
 
 from __future__ import annotations
@@ -181,8 +187,16 @@ def _check_qubit(layout: RegisterLayout, q: int):
 
 
 def _apply_block(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-    """Apply unitary ``u`` on the listed target qubits (functional)."""
+    """Apply unitary ``u`` on the listed target qubits (functional).
+
+    ``amps`` may be any n-qubit view, such as one control branch. Targets
+    that are consecutive qubits in ascending order form the middle axis of
+    a (2^lo, 2^k, rest) reshape; other target lists are moved to the front.
+    """
     k = len(targets)
+    lo = targets[0]
+    if targets == tuple(range(lo, lo + k)):
+        return (u @ amps.reshape(1 << lo, 1 << k, -1)).reshape(-1)
     t = amps.reshape((2,) * n)
     s = np.moveaxis(t, targets, range(k))
     out = (u @ s.reshape(1 << k, -1)).reshape(s.shape)
@@ -194,14 +208,11 @@ def _apply_controlled_block(
     amps: np.ndarray, n: int, control: int, targets: tuple[int, ...], u: np.ndarray
 ) -> np.ndarray:
     """Apply ``u`` on targets within the control-qubit-is-1 subspace."""
-    t = np.moveaxis(amps.reshape((2,) * n), control, 0)
+    out = amps.copy()
+    branch = out.reshape(1 << control, 2, -1)[:, 1]  # a view: writes land in out
     sub_targets = tuple(q if q < control else q - 1 for q in targets)
-    branch0 = np.ascontiguousarray(t[0])
-    branch1 = _apply_block(
-        np.ascontiguousarray(t[1]).reshape(-1), n - 1, sub_targets, u
-    ).reshape((2,) * (n - 1))
-    out = np.moveaxis(np.stack([branch0, branch1]), 0, control)
-    return np.ascontiguousarray(out).reshape(-1)
+    branch[...] = _apply_block(branch, n - 1, sub_targets, u).reshape(branch.shape)
+    return out
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -259,23 +270,24 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return StateVector(lay, out)
 
 
-def _fourier_kernel(m: int, sign: float) -> np.ndarray:
-    idx = np.arange(m)
-    return np.exp(sign * 2j * np.pi * np.outer(idx, idx) / m) / math.sqrt(m)
-
-
 def apply_qft(state: StateVector) -> StateVector:
-    """Forward discrete Fourier transform on the clock register index."""
-    m = state.layout.clock_dim
-    block = state.amplitudes.reshape(m, -1)
-    return StateVector(state.layout, (_fourier_kernel(m, +1.0) @ block).reshape(-1))
+    """Forward discrete Fourier transform on the clock register index.
+
+    Amplitude j of the clock register goes to sum_k e^{+2 pi i jk/M} a_k /
+    sqrt(M): numpy's orthonormal inverse FFT along the clock axis.
+    """
+    block = state.amplitudes.reshape(state.layout.clock_dim, -1)
+    return StateVector(state.layout, np.fft.ifft(block, axis=0, norm="ortho").reshape(-1))
 
 
 def apply_inverse_qft(state: StateVector) -> StateVector:
-    """Inverse discrete Fourier transform on the clock register index."""
-    m = state.layout.clock_dim
-    block = state.amplitudes.reshape(m, -1)
-    return StateVector(state.layout, (_fourier_kernel(m, -1.0) @ block).reshape(-1))
+    """Inverse discrete Fourier transform on the clock register index.
+
+    The adjoint of apply_qft: numpy's orthonormal forward FFT along the
+    clock axis.
+    """
+    block = state.amplitudes.reshape(state.layout.clock_dim, -1)
+    return StateVector(state.layout, np.fft.fft(block, axis=0, norm="ortho").reshape(-1))
 
 
 def measure_qubit(
@@ -293,8 +305,8 @@ def measure_qubit(
     """
     lay = state.layout
     _check_qubit(lay, qubit)
-    t = np.moveaxis(state.amplitudes.reshape((2,) * lay.n_qubits), qubit, 0)
-    p1 = float(np.sum(np.abs(t[1]) ** 2))
+    t = state.amplitudes.reshape(1 << qubit, 2, -1)
+    p1 = float(np.sum(np.abs(t[:, 1]) ** 2))
     probs = (1.0 - p1, p1)
 
     if post_select is not None:
@@ -312,9 +324,8 @@ def measure_qubit(
         outcome = int(rng.random() < p1)
 
     collapsed = np.zeros_like(t)
-    collapsed[outcome] = t[outcome] / math.sqrt(probs[outcome])
-    amps = np.ascontiguousarray(np.moveaxis(collapsed, 0, qubit)).reshape(-1)
-    return outcome, probs[outcome], StateVector(lay, amps)
+    collapsed[:, outcome] = t[:, outcome] / math.sqrt(probs[outcome])
+    return outcome, probs[outcome], StateVector(lay, collapsed.reshape(-1))
 
 
 def extract_register(

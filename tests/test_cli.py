@@ -1,6 +1,7 @@
 """End-to-end command-line tests using the bundled fixtures."""
 
 import json
+import time
 
 import pytest
 
@@ -55,6 +56,16 @@ class TestSolve:
         )
         assert code == 1
         assert json.loads(out)["converged"] is False
+
+    def test_oversized_clock_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "solve", "--case", FIVE_BUS, "--method", "qpf", "--clock-qubits", "40"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "n_clock=40" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "--case", FIVE_BUS, "--frobnicate")

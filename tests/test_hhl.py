@@ -1,11 +1,13 @@
 """Quantum linear-solver tests against hand-traced and direct-solve oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qpflow import hhl, linalg
+from dense_reference import dft_matrix, kron_operator
+from qpflow import cases, hhl, linalg, network
 from qpflow import statevector as sv
 
 B_MIXED = np.array([[1.5, 0.5], [0.5, 1.5]])  # eigenvalues 1 and 2
@@ -19,6 +21,75 @@ def random_pd(rng, n, cond):
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     w = np.linspace(1.0, cond, n)
     return (q * w) @ q.T
+
+
+def choose_scale_loop(eigenvalues, config):
+    """Reference scale search: one candidate integer at a time, in Python."""
+    m_top = (1 << config.n_clock) - 1
+    lam_min, lam_max = eigenvalues[0], eigenvalues[-1]
+    target = config.eigenvalue_margin * m_top
+
+    for atol in (hhl.EXACT_ATOL, hhl.SNAP_ATOL):
+        for m in range(int(math.floor(target)), 0, -1):
+            s = m / lam_max
+            enc = eigenvalues * s
+            nearest = np.round(enc)
+            if np.all(nearest >= 1) and np.all(np.abs(enc - nearest) <= atol):
+                return s, bool(atol == hhl.EXACT_ATOL), None
+
+    ratio = lam_max / lam_min
+    s = target / lam_max
+    if lam_min * s >= 1.0:
+        return s, False, None
+    if ratio <= m_top:
+        return 1.0 / lam_min, False, None
+    msg = (
+        f"eigenvalue spread {ratio:.3g} exceeds clock range 2^{config.n_clock}-1={m_top}; "
+        "eigenvalues cannot all be distinctly encoded"
+    )
+    return s, False, msg
+
+
+def bundled_spectra():
+    for name in cases.NAMES:
+        mats = network.build_b_matrices(cases.load(name))
+        for label, mat in (("B'", mats.b_prime), ("B''", mats.b_double_prime)):
+            if mat.size:
+                yield f"{name} {label}", np.linalg.eigvalsh(mat)
+
+
+def dense_hhl(prep, b):
+    """hhl.solve's circuit as one dense operator; returns (x, success probability)."""
+    lay = prep.layout
+    n, nc, m_dim = lay.n_qubits, lay.n_clock, lay.clock_dim
+    targets = tuple(lay.vector_qubits)
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    qpe = np.eye(1 << n)
+    for k in range(nc):
+        qpe = kron_operator(n, (k,), had) @ qpe
+    for k in range(nc):
+        qpe = kron_operator(n, targets, prep.unitary_powers[nc - 1 - k], control=k) @ qpe
+    qpe = np.kron(dft_matrix(m_dim, -1.0), np.eye(1 << (n - nc))) @ qpe
+    c = prep.rotation_constant
+    rotation = np.zeros((1 << n, 1 << n))
+    for m in range(m_dim):
+        sin_half = c / m if m >= max(1.0, c) else 0.0
+        cos_half = math.sqrt(1.0 - sin_half * sin_half)
+        block = np.kron(np.eye(lay.vector_dim), [[cos_half, -sin_half], [sin_half, cos_half]])
+        size = block.shape[0]
+        rotation[m * size:(m + 1) * size, m * size:(m + 1) * size] = block
+    circuit = qpe.conj().T @ rotation @ qpe
+
+    dim = prep.dimension
+    b_norm = np.linalg.norm(b)
+    psi = np.zeros(lay.vector_dim, dtype=complex)
+    psi[:dim] = b / b_norm
+    start = np.zeros((m_dim, lay.vector_dim, 2), dtype=complex)
+    start[0, :, 0] = psi
+    final = (circuit @ start.reshape(-1)).reshape(m_dim, lay.vector_dim, 2)
+    success = float(np.sum(np.abs(final[:, :, 1]) ** 2))
+    x = final[0, :dim, 1] * b_norm * prep.scale / c
+    return x, success
 
 
 class TestPrepareSystem:
@@ -79,6 +150,37 @@ class TestPrepareSystem:
             assert np.abs(prep.encoded_eigenvalues - expected).max() < 1e-12
             assert prep.encoded_eigenvalues[0] >= 1.0 - 1e-9
             assert prep.encoded_eigenvalues[-1] <= (1 << n_clock) - 1 + 1e-9
+
+    def test_scale_search_matches_loop_on_bundled_cases(self):
+        for label, eigenvalues in bundled_spectra():
+            for n_clock in range(2, 11):
+                config = hhl.HHLConfig(n_clock=n_clock)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", hhl.PrecisionWarning)
+                    got = hhl._choose_scale(eigenvalues, config)
+                assert got == choose_scale_loop(eigenvalues, config), (label, n_clock)
+
+    def test_scale_search_matches_loop_on_random_spectra(self):
+        rng = np.random.default_rng(16)
+        outcomes = set()
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            if trial % 3 == 0:  # integer ratios, snapped within SNAP_ATOL or exact
+                lam = rng.integers(1, 12, n) * rng.uniform(0.1, 5.0)
+                lam = lam + rng.choice([0.0, 1e-3, 3e-2], n) * (trial % 2)
+            else:
+                lam = rng.uniform(0.05, 1.0, n) ** rng.uniform(1.0, 4.0) * rng.uniform(0.1, 50.0)
+            eigenvalues = np.sort(lam)
+            config = hhl.HHLConfig(
+                n_clock=int(rng.integers(1, 11)), eigenvalue_margin=rng.uniform(0.5, 0.99)
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", hhl.PrecisionWarning)
+                got = hhl._choose_scale(eigenvalues, config)
+            assert got == choose_scale_loop(eigenvalues, config), (eigenvalues, config)
+            outcomes.add((got[1], got[2] is not None))
+        # exact landing, snapped or margin rule, and the spread warning all occur
+        assert outcomes == {(True, False), (False, False), (False, True)}
 
     def test_padding_to_power_of_two(self):
         b = random_pd(np.random.default_rng(12), 3, cond=3.0)
@@ -286,15 +388,18 @@ class TestSolve:
         assert np.array_equal(x1, x2)
         assert np.array_equal(x1, x3)
 
-    def test_sampling_mode_matches_post_selection(self):
-        b = np.array([1.0, 0.0])
-        prep_det = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))
-        prep_smp = hhl.prepare_system(
-            B_MIXED, hhl.HHLConfig(n_clock=2, post_select=False)
-        )
-        x_det = hhl.solve(prep_det, b).solution
-        x_smp = hhl.solve(prep_smp, b, seed=31).solution
-        assert np.abs(x_det - x_smp).max() < 1e-12
+    @pytest.mark.parametrize("matrix", ["b_prime", "b_double_prime"])
+    def test_matches_dense_pipeline(self, matrix):
+        mat = getattr(network.build_b_matrices(cases.five_bus()), matrix)
+        prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=4))
+        assert prep.layout.n_qubits == 7
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            rhs = rng.standard_normal(prep.dimension)
+            sol = hhl.solve(prep, rhs)
+            x, success = dense_hhl(prep, rhs)
+            assert np.abs(sol.solution - x).max() < 1e-12
+            assert sol.success_probability == pytest.approx(success, abs=1e-12)
 
     def test_rejects_zero_rhs(self):
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import dft_matrix, kron_operator
 from qpflow import statevector as sv
 
 LAYOUT = sv.RegisterLayout(1, 1, 1)
@@ -15,6 +16,75 @@ def random_state(rng, layout):
         1 << layout.n_qubits
     )
     return sv.StateVector(layout, amps / np.linalg.norm(amps))
+
+
+def random_unitary(rng, dim):
+    return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+
+def gate_matrix(gate):
+    """The gate's unitary on its targets, written out from its parameters."""
+    if gate.kind == "hadamard":
+        return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    if gate.kind == "pauli_x":
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
+    if gate.kind == "phase":
+        return np.diag([1.0, np.exp(1j * gate.angle)])
+    if gate.kind == "ry":
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        return np.array([[c, -s], [s, c]])
+    if gate.kind == "swap":
+        return np.eye(4)[[0, 2, 1, 3]]
+    return np.linalg.matrix_power(gate.matrix, gate.power)
+
+
+_GATE_RNG = np.random.default_rng(42)
+# Gates on a 7-qubit register (3 clock, 3 vector, 1 ancilla), every kind,
+# with the control before, after and between targets, and targets that are
+# consecutive, scattered or listed out of order.
+GATE_CASES = [
+    pytest.param(sv.hadamard(0), id="hadamard-first"),
+    pytest.param(sv.hadamard(3), id="hadamard-middle"),
+    pytest.param(sv.hadamard(6), id="hadamard-last"),
+    pytest.param(sv.pauli_x(4), id="pauli_x"),
+    pytest.param(sv.phase(2, 0.7), id="phase"),
+    pytest.param(sv.GateOp("ry", (5,), angle=0.9), id="ry"),
+    pytest.param(sv.swap(1, 5), id="swap"),
+    pytest.param(sv.swap(5, 1), id="swap-reversed"),
+    pytest.param(sv.controlled_phase(1, 5, -1.2), id="phase-control-before"),
+    pytest.param(sv.controlled_phase(5, 1, -1.2), id="phase-control-after"),
+    pytest.param(sv.controlled_ry(6, 2, 0.4), id="ry-control-after"),
+    pytest.param(sv.GateOp("pauli_x", (0,), control=6), id="pauli_x-control-after"),
+    pytest.param(sv.GateOp("hadamard", (4,), control=3), id="hadamard-control-adjacent"),
+    pytest.param(
+        sv.controlled_unitary(0, (3, 4, 5), random_unitary(_GATE_RNG, 8)),
+        id="unitary-control-before-consecutive",
+    ),
+    pytest.param(
+        sv.controlled_unitary(2, (3, 4, 5), random_unitary(_GATE_RNG, 8), power=3),
+        id="unitary-power-control-adjacent",
+    ),
+    pytest.param(
+        sv.controlled_unitary(6, (3, 4), random_unitary(_GATE_RNG, 4)),
+        id="unitary-control-after-consecutive",
+    ),
+    pytest.param(
+        sv.controlled_unitary(2, (0, 3), random_unitary(_GATE_RNG, 4)),
+        id="unitary-control-between",
+    ),
+    pytest.param(
+        sv.controlled_unitary(3, (6, 1), random_unitary(_GATE_RNG, 4)),
+        id="unitary-control-between-reversed",
+    ),
+    pytest.param(
+        sv.controlled_unitary(1, (5, 4), random_unitary(_GATE_RNG, 4)),
+        id="unitary-control-before-reversed",
+    ),
+    pytest.param(
+        sv.controlled_unitary(4, (0, 2, 6), random_unitary(_GATE_RNG, 8)),
+        id="unitary-control-between-scattered",
+    ),
+]
 
 
 class TestLayout:
@@ -117,28 +187,15 @@ class TestGates:
         out = sv.apply_gate(state, sv.controlled_unitary(2, (0,), np.array([[0, 1], [1, 0]])))
         assert out.tensor()[1, 0, 1] == pytest.approx(1.0)
 
-    def test_controlled_block_control_between_targets(self):
-        # two-qubit block on qubits (0, 3) controlled by qubit 2
-        rng = np.random.default_rng(42)
-        lay = sv.RegisterLayout(2, 1, 1)
-        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-        state = random_state(rng, lay)
-        out = sv.apply_gate(state, sv.controlled_unitary(2, (0, 3), u))
-        # reference: dense matrix built from explicit bit arithmetic
-        n = lay.n_qubits
-        dense = np.zeros((1 << n, 1 << n), dtype=complex)
-        for col in range(1 << n):
-            bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
-            if bits[2] == 0:
-                dense[col, col] = 1.0
-                continue
-            sub_in = (bits[0] << 1) | bits[3]
-            for sub_out in range(4):
-                new = bits.copy()
-                new[0], new[3] = (sub_out >> 1) & 1, sub_out & 1
-                row = sum(b << (n - 1 - q) for q, b in enumerate(new))
-                dense[row, col] = u[sub_out, sub_in]
-        assert np.abs(out.amplitudes - dense @ state.amplitudes).max() < 1e-12
+    @pytest.mark.parametrize("gate", GATE_CASES)
+    def test_matches_kron_operator(self, gate):
+        rng = np.random.default_rng(43)
+        lay = sv.RegisterLayout(3, 3, 1)
+        dense = kron_operator(lay.n_qubits, gate.targets, gate_matrix(gate), gate.control)
+        for _ in range(3):
+            state = random_state(rng, lay)
+            out = sv.apply_gate(state, gate)
+            assert np.abs(out.amplitudes - dense @ state.amplitudes).max() < 1e-12
 
     def test_rejects_control_equal_target(self):
         state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
@@ -202,6 +259,16 @@ class TestQFT:
         out = sv.apply_inverse_qft(sv.StateVector(lay, amps))
         t = out.tensor()
         assert abs(t[0, 0, 0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_clock", range(1, 10))
+    def test_matches_dft_matrix(self, n_clock):
+        rng = np.random.default_rng(100 + n_clock)
+        lay = sv.RegisterLayout(n_clock, 1, 1)
+        state = random_state(rng, lay)
+        block = state.amplitudes.reshape(lay.clock_dim, -1)
+        for transform, sign in ((sv.apply_qft, +1.0), (sv.apply_inverse_qft, -1.0)):
+            expected = (dft_matrix(lay.clock_dim, sign) @ block).reshape(-1)
+            assert np.abs(transform(state).amplitudes - expected).max() < 1e-12
 
     def test_inverse_of_forward(self):
         rng = np.random.default_rng(9)
