@@ -10,6 +10,7 @@ lines end with LF.
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings as _warnings
 from dataclasses import dataclass
@@ -73,6 +74,17 @@ def format_for_path(path: str) -> str:
     return MATPOWER if str(path).endswith(".m") else NATIVE_JSON
 
 
+def _finite(value, field: str, where: str) -> float:
+    """``value`` as a float; a non-number, NaN or an infinity is an input error."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise CaseError(f"{where}: field {field!r} is not a number ({value!r})") from exc
+    if not math.isfinite(x):
+        raise CaseError(f"{where}: field {field!r} is not finite ({x})")
+    return x
+
+
 # -- native JSON ------------------------------------------------------------
 
 
@@ -95,37 +107,44 @@ def _parse_native(text: str) -> CaseDocument:
             raise CaseError(f"{key!r} must be a list of objects")
         return value
 
+    def number(rec, key, default, where):
+        """A finite float field; ``default=None`` marks it required."""
+        value = need(rec, key, where) if default is None else rec.get(key, default)
+        return _finite(value, key, where)
+
     buses = []
     for rec in records("buses"):
+        where = f"bus {rec.get('id')}"
         buses.append(
             Bus(
                 id=int(need(rec, "id", "bus record")),
-                kind=str(need(rec, "kind", f"bus {rec.get('id')}")).lower(),
-                pd=float(rec.get("pd", 0.0)),
-                qd=float(rec.get("qd", 0.0)),
-                pg=float(rec.get("pg", 0.0)),
-                qg=float(rec.get("qg", 0.0)),
-                vset=float(rec.get("vset", 1.0)),
-                gs=float(rec.get("gs", 0.0)),
-                bs=float(rec.get("bs", 0.0)),
+                kind=str(need(rec, "kind", where)).lower(),
+                pd=number(rec, "pd", 0.0, where),
+                qd=number(rec, "qd", 0.0, where),
+                pg=number(rec, "pg", 0.0, where),
+                qg=number(rec, "qg", 0.0, where),
+                vset=number(rec, "vset", 1.0, where),
+                gs=number(rec, "gs", 0.0, where),
+                bs=number(rec, "bs", 0.0, where),
             )
         )
     branches = []
     for rec in records("branches"):
+        where = f"branch {rec.get('from')}-{rec.get('to')}"
         branches.append(
             Branch(
                 from_bus=int(need(rec, "from", "branch record")),
                 to_bus=int(need(rec, "to", "branch record")),
-                r=float(rec.get("r", 0.0)),
-                x=float(need(rec, "x", "branch record")),
-                b=float(rec.get("b", 0.0)),
-                tap=float(rec.get("tap", 1.0)),
+                r=number(rec, "r", 0.0, where),
+                x=number(rec, "x", None, where),
+                b=number(rec, "b", 0.0, where),
+                tap=number(rec, "tap", 1.0, where),
             )
         )
     try:
         case = NetworkCase(
             name=str(doc.get("name", "case")),
-            base_mva=float(doc.get("base_mva", 100.0)),
+            base_mva=number(doc, "base_mva", 100.0, "case"),
             buses=tuple(buses),
             branches=tuple(branches),
         )
@@ -136,28 +155,40 @@ def _parse_native(text: str) -> CaseDocument:
     correlations = None
     if "uncertainty" in doc and doc["uncertainty"]:
         unc = doc["uncertainty"]
+        if not isinstance(unc, dict):
+            raise CaseError("'uncertainty' must be an object")
         p_sched, q_sched = case.scheduled_injections()
         recs = []
-        for rec in unc.get("injections", []):
-            bus_id = int(need(rec, "bus", "uncertainty record"))
-            idx = case.bus_index(bus_id)
-            p_mean = float(rec.get("p_mean", p_sched[idx]))
-            q_mean = float(rec.get("q_mean", q_sched[idx]))
+        for k, rec in enumerate(unc.get("injections", [])):
+            where = f"uncertainty.injections[{k}]"
+            bus_id = int(need(rec, "bus", where))
+            try:
+                idx = case.bus_index(bus_id)
+            except KeyError:
+                raise CaseError(f"{where}: field 'bus' names unknown bus {bus_id}") from None
+            p_mean = number(rec, "p_mean", p_sched[idx], where)
+            q_mean = number(rec, "q_mean", q_sched[idx], where)
             recs.append(
                 stochastic.UncertainInjection(
                     bus=bus_id,
                     p_mean=p_mean,
-                    p_std=float(rec.get("p_std", DEFAULT_STD_FRACTION * abs(p_mean))),
+                    p_std=number(rec, "p_std", DEFAULT_STD_FRACTION * abs(p_mean), where),
                     q_mean=q_mean,
-                    q_std=float(rec.get("q_std", DEFAULT_STD_FRACTION * abs(q_mean))),
+                    q_std=number(rec, "q_std", DEFAULT_STD_FRACTION * abs(q_mean), where),
                 )
             )
         injections = tuple(recs)
-        pairs = tuple(
-            (int(rec["bus_i"]), int(rec["bus_j"]), float(rec["rho"]))
-            for rec in unc.get("correlations", [])
-        )
-        correlations = stochastic.CorrelationSpec(pairs=pairs)
+        pairs = []
+        for k, rec in enumerate(unc.get("correlations", [])):
+            where = f"uncertainty.correlations[{k}]"
+            pairs.append(
+                (
+                    int(need(rec, "bus_i", where)),
+                    int(need(rec, "bus_j", where)),
+                    number(rec, "rho", None, where),
+                )
+            )
+        correlations = stochastic.CorrelationSpec(pairs=tuple(pairs))
     return CaseDocument(case=case, injections=injections, correlations=correlations)
 
 
@@ -218,7 +249,18 @@ def emit_case(case: NetworkCase, document: CaseDocument | None = None) -> str:
 
 # -- MATPOWER subset ----------------------------------------------------------
 
-_MP_USED_COLUMNS = {"bus": 13, "branch": 13, "gen": 8}
+# Names of the standard columns the parser reads; later columns are ignored.
+_MP_COLUMNS = {
+    "bus": (
+        "BUS_I", "BUS_TYPE", "PD", "QD", "GS", "BS", "BUS_AREA", "VM", "VA", "BASE_KV",
+        "ZONE", "VMAX", "VMIN",
+    ),
+    "branch": (
+        "F_BUS", "T_BUS", "BR_R", "BR_X", "BR_B", "RATE_A", "RATE_B", "RATE_C", "TAP",
+        "SHIFT", "BR_STATUS", "ANGMIN", "ANGMAX",
+    ),
+    "gen": ("GEN_BUS", "PG", "QG", "QMAX", "QMIN", "VG", "MBASE", "GEN_STATUS"),
+}
 
 
 def _parse_matpower(text: str) -> CaseDocument:
@@ -237,17 +279,26 @@ def _parse_matpower(text: str) -> CaseDocument:
         line_base = text[: m.start()].count("\n") + 1
         rows = []
         body = m.group(1)
-        for k, raw in enumerate(re.split(r"[;\n]", body)):
+
+        def line_of(raw: str) -> int:
+            return line_base + body[: body.find(raw)].count("\n")
+
+        for raw in re.split(r"[;\n]", body):
             raw = raw.strip()
             if not raw:
                 continue
+            where = f"mpc.{name} row {len(rows) + 1}"
             try:
-                rows.append([float(tok) for tok in raw.split()])
+                row = [float(tok) for tok in raw.split()]
             except ValueError as exc:
-                raise CaseError(
-                    f"mpc.{name} row {len(rows) + 1} has a non-numeric token",
-                    line=line_base + body[: body.find(raw)].count("\n"),
-                ) from exc
+                raise CaseError(f"{where} has a non-numeric token", line=line_of(raw)) from exc
+            bad = [col for col, value in enumerate(row) if not math.isfinite(value)]
+            if bad:
+                col = bad[0]
+                names = _MP_COLUMNS[name]
+                field = f"column {col + 1}" + (f" ({names[col]})" if col < len(names) else "")
+                raise CaseError(f"{where}, {field} is not finite ({row[col]})", line=line_of(raw))
+            rows.append(row)
         return rows
 
     base = scalar("baseMVA")
@@ -260,9 +311,9 @@ def _parse_matpower(text: str) -> CaseDocument:
     gen_rows = table("gen") or []
 
     for name, rows in (("bus", bus_rows), ("branch", branch_rows), ("gen", gen_rows)):
-        if rows and len(rows[0]) > _MP_USED_COLUMNS[name]:
+        if rows and len(rows[0]) > len(_MP_COLUMNS[name]):
             _warnings.warn(
-                f"mpc.{name}: columns beyond {_MP_USED_COLUMNS[name]} are ignored",
+                f"mpc.{name}: columns beyond {len(_MP_COLUMNS[name])} are ignored",
                 UserWarning,
                 stacklevel=3,
             )
@@ -401,13 +452,9 @@ def report_payload(report: solvers.SolveReport, degrees: bool = False) -> dict:
     return payload
 
 
-def emit_report(report: solvers.SolveReport, fmt: str = "json", degrees: bool = False) -> str:
-    """Serialize a solve report as JSON or as the CSV iteration trace."""
-    if fmt == "json":
-        return json.dumps(report_payload(report, degrees), indent=2, sort_keys=True) + "\n"
-    if fmt == "csv-trace":
-        return emit_csv_trace(report, degrees)
-    raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(report: solvers.SolveReport, *, degrees: bool = False) -> str:
+    """Serialize a solve report as JSON."""
+    return json.dumps(report_payload(report, degrees), indent=2, sort_keys=True) + "\n"
 
 
 def emit_csv_trace(report: solvers.SolveReport, degrees: bool = False) -> str:

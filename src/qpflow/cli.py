@@ -7,6 +7,7 @@ flags, unreadable or malformed case files, invalid parameters).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -76,13 +77,8 @@ def _cmd_solve(args) -> int:
         max_iterations=args.max_iter,
         hhl=HHLConfig(n_clock=args.clock_qubits),
     )
-    solve = {
-        "qpf": solvers.solve_qpf,
-        "fd": solvers.solve_fast_decoupled,
-        "nr": solvers.solve_newton,
-    }[args.method]
-    report = solve(doc.case, config)
-    _write(caseio.emit_report(report, "json", degrees=args.degrees), args.out)
+    report = solvers.solve(doc.case, config)
+    _write(caseio.emit_report(report, degrees=args.degrees), args.out)
     if args.trace:
         _write(caseio.emit_csv_trace(report, degrees=args.degrees), args.trace)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
@@ -119,14 +115,8 @@ def _cmd_resources(args) -> int:
         raise caseio.CaseError("--clock-qubits must be positive")
     config = solvers.SolverConfig(method="qpf", hhl=HHLConfig(n_clock=args.clock_qubits))
     est = solvers.resource_estimate(doc.case, config)
-    payload = (
-        "{\n"
-        f'  "n_clock": {est.n_clock},\n'
-        f'  "n_vector": {est.n_vector},\n'
-        f'  "qubits_total": {est.qubits_total}\n'
-        "}\n"
-    )
-    sys.stdout.write(payload)
+    payload = {"n_clock": est.n_clock, "n_vector": est.n_vector, "qubits_total": est.qubits_total}
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 

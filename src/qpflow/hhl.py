@@ -3,21 +3,27 @@
 Pipeline for a Hermitian positive-definite system B x = b:
 
 1. prepare_system: pad B to a power-of-two dimension, scale its spectrum
-   into the clock register's integer range, cache the controlled-evolution
-   powers e^{iBt 2^k}, and fix the rotation constant C. Done once per
+   into the clock register's integer range, keep the padded matrix's
+   eigendecomposition, and fix the rotation constant C. Done once per
    matrix; the prepared system is reused across solves.
 2. solve: load |b>, run phase estimation, rotate the ancilla by arcsin(C/m)
    per clock value m, undo phase estimation, post-select the ancilla on
    |1>, read out the vector register, and de-normalize using the known
    ||b|| and the scaling factor.
 
-The paper parameterises phase estimation and the reciprocal rotation only
-at the beginning stage, because B' and B'' stay constant through a
-fast-decoupled solve. PreparedSystem follows that: when it is built it
-fixes the phase-estimation gate sequence and its inverse (the controlled
-powers and their adjoints, each checked unitary once) and the (cos, sin)
-pair of the ancilla rotation for every clock value. A solve then only
-applies them to its right-hand side.
+Phase estimation works on the three registers as the paper describes it:
+Hadamards put the clock in a uniform superposition, clock value m then
+carries U^m |b> with U = e^{iBt}, and an inverse QFT on the clock reads out
+the encoded eigenvalue. The controlled evolution sum_m |m><m| (x) U^m is one
+register-level operation in the eigenbasis Q of the padded matrix: rotate
+the vector register by Q^H, multiply by the phase e^{i lambda_j t m} of
+clock value m and eigenvector j, rotate back by Q. The paper parameterises
+phase estimation and the reciprocal rotation only at the beginning stage,
+because B' and B'' stay constant through a fast-decoupled solve.
+PreparedSystem follows that: when it is built it fixes the (clock value,
+eigenvector) phase table and the (cos, sin) pair of the ancilla rotation
+for every clock value. A solve then only applies them to its right-hand
+side.
 
 Eigenvalue scaling prefers an evolution time that lands every eigenvalue
 on (or near) a clock integer, falling back to a margin rule that places
@@ -77,9 +83,9 @@ class HHLConfig:
 class PreparedSystem:
     """Everything solve() needs, computed once per matrix.
 
-    The QPE gate sequences and the per-clock-value rotation are derived
-    from ``unitary_powers``, ``rotation_constant`` and ``layout`` when the
-    system is built.
+    The phase table of the controlled evolution and the per-clock-value
+    rotation are derived from the padded eigenvalues, ``time_step``,
+    ``rotation_constant`` and ``layout`` when the system is built.
     """
 
     matrix: np.ndarray
@@ -88,35 +94,26 @@ class PreparedSystem:
     config: HHLConfig
     time_step: float
     scale: float  # encoded eigenvalue = scale * true eigenvalue
-    unitary_powers: tuple[np.ndarray, ...]  # e^{iBt 2^k}, k = 0..n_clock-1
+    padded_eigenvalues: np.ndarray
+    padded_eigenvectors: np.ndarray  # columns diagonalize padded_matrix
     eigenvalues: np.ndarray
     encoded_eigenvalues: np.ndarray
     rotation_constant: float
     exact_encoding: bool
     warning: str | None = None
-    qpe_gates: tuple[sv.GateOp, ...] = field(init=False, repr=False, compare=False)
-    inverse_qpe_gates: tuple[sv.GateOp, ...] = field(init=False, repr=False, compare=False)
+    clock_phases: np.ndarray = field(init=False, repr=False, compare=False)
     rotation_cos: np.ndarray = field(init=False, repr=False, compare=False)
     rotation_sin: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Clock qubit k controls the evolution raised to 2^(n_clock-1-k), so
-        # the clock integer (qubit 0 = most significant) reads the encoded
-        # eigenvalue.
-        nc = self.layout.n_clock
-        targets = tuple(self.layout.vector_qubits)
-        hadamards = tuple(sv.hadamard(k) for k in range(nc))
-        powers = self.unitary_powers[::-1]
-        controlled = tuple(sv.controlled_unitary(k, targets, powers[k]) for k in range(nc))
-        adjoints = tuple(
-            sv.controlled_unitary(k, targets, powers[k].conj().T) for k in reversed(range(nc))
-        )
-        object.__setattr__(self, "qpe_gates", hadamards + controlled)
-        object.__setattr__(self, "inverse_qpe_gates", adjoints + hadamards[::-1])
+        # clock_phases[m, j] = e^{i lambda_j t m}: the eigenvalue of U^m on
+        # eigenvector j, so clock value m carries U^m.
+        m = np.arange(self.layout.clock_dim, dtype=float)
+        phases = np.exp(1j * np.outer(m, self.padded_eigenvalues * self.time_step))
+        object.__setattr__(self, "clock_phases", phases)
 
         # sin(theta_m/2) = C/m on clock values m >= max(1, C); the rest keep
         # the identity (cos 1, sin 0).
-        m = np.arange(self.layout.clock_dim, dtype=float)
         c = self.rotation_constant
         sin_half = np.divide(c, m, out=np.zeros_like(m), where=(m >= 1.0) & (m >= c))
         object.__setattr__(self, "rotation_sin", sin_half)
@@ -177,7 +174,7 @@ def _choose_scale(
 
 
 def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> PreparedSystem:
-    """Validate, pad, scale and cache the evolution operators for B.
+    """Validate, pad, scale and diagonalize B for the controlled evolution.
 
     B must be Hermitian positive definite. The padding block is the
     identity and never receives amplitude, so the spectrum scaling uses
@@ -212,11 +209,6 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
     t = 2.0 * math.pi * scale / m_dim
 
     pad_dec = linalg.hermitian_eigendecomposition(padded)
-    q = pad_dec.eigenvectors
-    powers = tuple(
-        (q * np.exp(1j * pad_dec.eigenvalues * t * (1 << k))) @ q.conj().T
-        for k in range(config.n_clock)
-    )
 
     encoded = dec.eigenvalues * scale
     if config.rotation_constant is not None:
@@ -236,7 +228,8 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
         config=config,
         time_step=t,
         scale=scale,
-        unitary_powers=powers,
+        padded_eigenvalues=pad_dec.eigenvalues,
+        padded_eigenvectors=pad_dec.eigenvectors,
         eigenvalues=dec.eigenvalues,
         encoded_eigenvalues=encoded,
         rotation_constant=c,
@@ -256,15 +249,19 @@ def _check_layout(prepared: PreparedSystem, state: sv.StateVector):
 def run_qpe(prepared: PreparedSystem, state: sv.StateVector) -> sv.StateVector:
     """Phase estimation: entangle clock values with the eigencomponents.
 
-    Applies the prepared Hadamards and controlled powers, then the inverse
-    QFT, so the clock integer reads the encoded eigenvalue.
+    Hadamards on the clock qubits, the controlled evolution U^m on clock
+    value m, then the inverse QFT, so the clock integer reads the encoded
+    eigenvalue.
     """
     _check_layout(prepared, state)
     probs = state.clock_probabilities()
     if 1.0 - probs[0] > sv.NORM_ATOL:
         raise ValueError("clock register must start in |0...0>")
-    for gate in prepared.qpe_gates:
-        state = sv.apply_gate(state, gate)
+    for k in prepared.layout.clock_qubits:
+        state = sv.apply_gate(state, sv.hadamard(k))
+    state = sv.apply_clock_controlled(
+        state, prepared.padded_eigenvectors, prepared.clock_phases
+    )
     return sv.apply_inverse_qft(state)
 
 
@@ -272,8 +269,11 @@ def run_inverse_qpe(prepared: PreparedSystem, state: sv.StateVector) -> sv.State
     """Exact adjoint of run_qpe; disentangles the clock back to |0...0>."""
     _check_layout(prepared, state)
     state = sv.apply_qft(state)
-    for gate in prepared.inverse_qpe_gates:
-        state = sv.apply_gate(state, gate)
+    state = sv.apply_clock_controlled(
+        state, prepared.padded_eigenvectors, prepared.clock_phases.conj()
+    )
+    for k in reversed(prepared.layout.clock_qubits):
+        state = sv.apply_gate(state, sv.hadamard(k))
     return state
 
 

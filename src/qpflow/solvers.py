@@ -250,6 +250,16 @@ def solve_fast_decoupled(case: NetworkCase, config: SolverConfig | None = None) 
     return _decoupled_loop(case, config, quantum=False)
 
 
+def solve(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:
+    """Run the method that ``config.method`` names (fast-decoupled by default)."""
+    config = config or SolverConfig()
+    if config.method == QPF:
+        return solve_qpf(case, config)
+    if config.method == NEWTON:
+        return solve_newton(case, config)
+    return solve_fast_decoupled(case, config)
+
+
 def _polar_jacobian(ybus: np.ndarray, vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dS/dtheta and dS/d|V| of the complex injection, per bus."""
     ibus = ybus @ vc

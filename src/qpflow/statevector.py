@@ -12,14 +12,16 @@ Conventions, fixed package-wide:
   mutate their inputs, so states are safe to share across callers.
 * The clock-register QFT and its inverse are orthonormal FFTs along the
   clock axis, O(M log M) for each vector-and-ancilla column.
-* A gate on consecutive target qubits reshapes the amplitudes so that its
-  targets form one axis and multiplies along it, and a control qubit picks
-  its |1> half through the same kind of reshape; only gates on scattered
-  or reordered targets transpose the state.
+* Gates are 2x2 unitaries on one qubit, applied by reshaping the
+  amplitudes so that the target forms the middle axis. Everything wider
+  is a register-level operation: the clock-controlled evolution
+  sum_m |m><m| (x) U^m runs in U's eigenbasis with one phase per clock
+  value and eigenvector, and the QFT acts on the clock axis as a whole.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,61 +105,27 @@ class StateVector:
 
 @dataclass(frozen=True)
 class GateOp:
-    """A single gate: kind plus whichever parameters that kind uses."""
+    """A single-qubit gate: a 2x2 unitary on one target qubit."""
 
-    kind: str
-    targets: tuple[int, ...]
-    control: int | None = None
-    angle: float | None = None
-    matrix: np.ndarray | None = None
-    power: int = 1
+    target: int
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.kind == "controlled_unitary":
-            if self.matrix is None:
-                raise ValueError("controlled_unitary needs a matrix")
-            if self.power < 1:
-                raise ValueError("unitary power must be a positive integer")
-            dim = 1 << len(self.targets)
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (dim, dim):
-                raise ValueError(
-                    f"unitary block is {m.shape} but targets span dimension {dim}"
-                )
-            if np.abs(m.conj().T @ m - np.eye(dim)).max() > UNITARY_ATOL:
-                raise ValueError("controlled_unitary block is not unitary")
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError(f"gate matrix is {m.shape}, expected (2, 2)")
+        if np.abs(m.conj().T @ m - np.eye(2)).max() > UNITARY_ATOL:
+            raise ValueError("gate matrix is not unitary")
+        object.__setattr__(self, "matrix", m)
 
 
+_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=None)
 def hadamard(target: int) -> GateOp:
-    return GateOp("hadamard", (target,))
-
-
-def pauli_x(target: int) -> GateOp:
-    return GateOp("pauli_x", (target,))
-
-
-def phase(target: int, angle: float) -> GateOp:
-    return GateOp("phase", (target,), angle=angle)
-
-
-def controlled_phase(control: int, target: int, angle: float) -> GateOp:
-    return GateOp("phase", (target,), control=control, angle=angle)
-
-
-def swap(a: int, b: int) -> GateOp:
-    return GateOp("swap", (a, b))
-
-
-def controlled_ry(control: int, target: int, angle: float) -> GateOp:
-    return GateOp("ry", (target,), control=control, angle=angle)
-
-
-def controlled_unitary(
-    control: int, targets: tuple[int, ...], matrix: np.ndarray, power: int = 1
-) -> GateOp:
-    return GateOp(
-        "controlled_unitary", tuple(targets), control=control, matrix=matrix, power=power
-    )
+    """The Hadamard gate on ``target``; built and checked once per qubit."""
+    return GateOp(target, _H)
 
 
 def init_state(layout: RegisterLayout, vector_amplitudes: np.ndarray) -> StateVector:
@@ -186,88 +154,29 @@ def _check_qubit(layout: RegisterLayout, q: int):
         raise ValueError(f"qubit index {q} out of range for {layout.n_qubits} qubits")
 
 
-def _apply_block(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-    """Apply unitary ``u`` on the listed target qubits (functional).
-
-    ``amps`` may be any n-qubit view, such as one control branch. Targets
-    that are consecutive qubits in ascending order form the middle axis of
-    a (2^lo, 2^k, rest) reshape; other target lists are moved to the front.
-    """
-    k = len(targets)
-    lo = targets[0]
-    if targets == tuple(range(lo, lo + k)):
-        return (u @ amps.reshape(1 << lo, 1 << k, -1)).reshape(-1)
-    t = amps.reshape((2,) * n)
-    s = np.moveaxis(t, targets, range(k))
-    out = (u @ s.reshape(1 << k, -1)).reshape(s.shape)
-    out = np.moveaxis(out, range(k), targets)
-    return np.ascontiguousarray(out).reshape(-1)
-
-
-def _apply_controlled_block(
-    amps: np.ndarray, n: int, control: int, targets: tuple[int, ...], u: np.ndarray
-) -> np.ndarray:
-    """Apply ``u`` on targets within the control-qubit-is-1 subspace."""
-    out = amps.copy()
-    branch = out.reshape(1 << control, 2, -1)[:, 1]  # a view: writes land in out
-    sub_targets = tuple(q if q < control else q - 1 for q in targets)
-    branch[...] = _apply_block(branch, n - 1, sub_targets, u).reshape(branch.shape)
-    return out
-
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _phase(angle: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * angle)]], dtype=complex)
-
-
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate; linear in the amplitudes and norm preserving."""
     lay = state.layout
-    for q in gate.targets:
-        _check_qubit(lay, q)
-    if gate.control is not None:
-        _check_qubit(lay, gate.control)
-        if gate.control in gate.targets:
-            raise ValueError(f"control qubit {gate.control} is also a target")
-    if len(set(gate.targets)) != len(gate.targets):
-        raise ValueError(f"duplicate target qubits {gate.targets}")
+    _check_qubit(lay, gate.target)
+    amps = state.amplitudes.reshape(1 << gate.target, 2, -1)
+    return StateVector(lay, (gate.matrix @ amps).reshape(-1))
 
-    n = lay.n_qubits
-    amps = state.amplitudes
-    if gate.kind == "hadamard":
-        u = _H
-    elif gate.kind == "pauli_x":
-        u = _X
-    elif gate.kind == "phase":
-        u = _phase(gate.angle)
-    elif gate.kind == "ry":
-        u = _ry(gate.angle)
-    elif gate.kind == "swap":
-        a, b = gate.targets
-        t = amps.reshape((2,) * n)
-        return StateVector(lay, np.ascontiguousarray(np.swapaxes(t, a, b)).reshape(-1))
-    elif gate.kind == "controlled_unitary":
-        u = np.asarray(gate.matrix, dtype=complex)
-        if gate.power != 1:
-            u = np.linalg.matrix_power(u, gate.power)
-        return StateVector(lay, _apply_controlled_block(amps, n, gate.control, gate.targets, u))
-    else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
 
-    (target,) = gate.targets
-    if gate.control is None:
-        out = _apply_block(amps, n, (target,), u)
-    else:
-        out = _apply_controlled_block(amps, n, gate.control, (target,), u)
-    return StateVector(lay, out)
+def apply_clock_controlled(
+    state: StateVector, eigenvectors: np.ndarray, phases: np.ndarray
+) -> StateVector:
+    """Apply sum_m |m><m| (x) Q diag(phases[m]) Q^H on the clock and vector registers.
+
+    ``eigenvectors`` is the unitary Q on the vector register and ``phases``
+    a (clock_dim, vector_dim) table, so clock value m carries its own power
+    of an operator that Q diagonalizes. The ancilla is untouched.
+    """
+    lay = state.layout
+    # Rows are (clock value, ancilla) pairs, columns the vector register.
+    rows = state.tensor().transpose(0, 2, 1).reshape(-1, lay.vector_dim)
+    y = (rows @ eigenvectors.conj()).reshape(lay.clock_dim, 2, -1) * phases[:, None, :]
+    out = (y.reshape(-1, lay.vector_dim) @ eigenvectors.T).reshape(lay.clock_dim, 2, -1)
+    return StateVector(lay, out.transpose(0, 2, 1).reshape(-1))
 
 
 def apply_qft(state: StateVector) -> StateVector:

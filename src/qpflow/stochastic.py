@@ -173,11 +173,6 @@ def run_monte_carlo(
             raise ValueError(f"uncertain injection bus {inj.bus} is not a PQ bus")
 
     batch = sample_injections(spec, corr, n, seed)
-    solve = {
-        solvers.QPF: solvers.solve_qpf,
-        solvers.FAST_DECOUPLED: solvers.solve_fast_decoupled,
-        solvers.NEWTON: solvers.solve_newton,
-    }[solver.method]
 
     n_bus = case.n_bus
     voltages = np.empty((n, n_bus))
@@ -186,7 +181,7 @@ def run_monte_carlo(
         sampled = case
         for k, inj in enumerate(spec):
             sampled = sampled.with_scheduled_injection(inj.bus, batch.p[i, k], batch.q[i, k])
-        report = solve(sampled, solver)
+        report = solvers.solve(sampled, solver)
         voltages[i] = report.v
         converged[i] = report.converged
 

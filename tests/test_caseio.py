@@ -66,6 +66,24 @@ class TestNativeParser:
                 '{"buses": [{"id": 1, "kind": "slack"}], "branches": [{"from": 1, "to": 1}]}'
             )
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"pd": 0.1', '"pd": NaN', "bus 2: field 'pd'"),
+            ('"x": 0.1', '"x": Infinity', "branch 1-2: field 'x'"),
+            ('"base_mva": 100.0', '"base_mva": -Infinity', "case: field 'base_mva'"),
+            (
+                '"branches"',
+                '"uncertainty": {"injections": [{"bus": 2, "p_std": NaN}]}, "branches"',
+                r"uncertainty.injections\[0\]: field 'p_std'",
+            ),
+        ],
+        ids=["bus", "branch", "base_mva", "uncertainty"],
+    )
+    def test_non_finite_number_rejected(self, old, new, message):
+        with pytest.raises(caseio.CaseError, match=message + " is not finite"):
+            caseio.parse_document(MINIMAL_JSON.replace(old, new, 1))
+
     def test_bytes_accepted(self):
         case = caseio.parse_case(MINIMAL_JSON.encode())
         assert case.name == "mini"
@@ -112,6 +130,12 @@ class TestMatpowerParser:
     def test_missing_base_mva(self):
         with pytest.raises(caseio.CaseError, match="baseMVA"):
             caseio.parse_case("mpc.bus = [];", caseio.MATPOWER)
+
+    @pytest.mark.parametrize("token", ["NaN", "Inf", "-inf"])
+    def test_non_finite_number_rejected(self, token):
+        text = MINIMAL_MATPOWER.replace("2 1 10 2", f"2 1 {token} 2")
+        with pytest.raises(caseio.CaseError, match=r"mpc.bus row 2, column 3 \(PD\) is not finite"):
+            caseio.parse_case(text, caseio.MATPOWER)
 
     def test_non_numeric_token_localized(self):
         text = MINIMAL_MATPOWER.replace("1 2 0.01", "1 2 oops")
@@ -160,30 +184,25 @@ class TestReportEmission:
 
     def test_json_round_trip_byte_identical(self):
         report = solvers.solve_fast_decoupled(cases.five_bus())
-        text = caseio.emit_report(report, "json")
+        text = caseio.emit_report(report)
         payload = json.loads(text)
         again = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert again == text
 
     def test_emission_deterministic(self):
-        a = caseio.emit_report(solvers.solve_fast_decoupled(cases.five_bus()), "json")
-        b = caseio.emit_report(solvers.solve_fast_decoupled(cases.five_bus()), "json")
+        a = caseio.emit_report(solvers.solve_fast_decoupled(cases.five_bus()))
+        b = caseio.emit_report(solvers.solve_fast_decoupled(cases.five_bus()))
         assert a == b
 
     def test_row_count_matches_iterations(self):
         report = solvers.solve_qpf(cases.five_bus())
-        payload = json.loads(caseio.emit_report(report, "json"))
+        payload = json.loads(caseio.emit_report(report))
         assert len(payload["trace"]) == report.iterations
         assert payload["resource"]["qubits_total"] == 7
 
     def test_degrees_flag(self):
         report = solvers.solve_fast_decoupled(cases.five_bus())
-        rad = json.loads(caseio.emit_report(report, "json"))
-        deg = json.loads(caseio.emit_report(report, "json", degrees=True))
+        rad = json.loads(caseio.emit_report(report))
+        deg = json.loads(caseio.emit_report(report, degrees=True))
         assert deg["angle_unit"] == "degrees"
         assert deg["theta"][2] == pytest.approx(rad["theta"][2] * 180.0 / np.pi, rel=1e-12)
-
-    def test_unknown_format_rejected(self):
-        report = solvers.solve_fast_decoupled(cases.two_bus())
-        with pytest.raises(ValueError, match="unknown report format"):
-            caseio.emit_report(report, "yaml")

@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def edited_five_bus(tmp_path, edit):
+    """five_bus.json with ``edit`` applied to its parsed document, as a file."""
+    doc = json.loads(cases.case_path("five_bus").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestSolve:
     @pytest.mark.parametrize("method", ["qpf", "fd", "nr"])
     def test_solve_succeeds(self, capsys, method):
@@ -67,6 +76,17 @@ class TestSolve:
         assert out == ""
         assert "n_clock=40" in err
 
+    def test_non_finite_load_exits_2_without_report(self, tmp_path, capsys):
+        path = edited_five_bus(tmp_path, lambda doc: doc["buses"][2].update(pd=float("nan")))
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "solve", "--case", path, "--method", "fd", "--out", str(out_path)
+        )
+        assert code == 2
+        assert not out_path.exists()
+        assert out == ""
+        assert "bus 3: field 'pd' is not finite" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "--case", FIVE_BUS, "--frobnicate")
         assert code == 2
@@ -113,6 +133,24 @@ class TestMonteCarlo:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_injection_on_unknown_bus_exits_2(self, tmp_path, capsys):
+        path = edited_five_bus(
+            tmp_path, lambda doc: doc["uncertainty"]["injections"][1].update(bus=99)
+        )
+        code, out, err = run(capsys, "montecarlo", "--case", path, "--samples", "5", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "uncertainty.injections[1]: field 'bus' names unknown bus 99" in err
+
+    def test_correlation_without_bus_j_exits_2(self, tmp_path, capsys):
+        path = edited_five_bus(
+            tmp_path, lambda doc: doc["uncertainty"]["correlations"][0].pop("bus_j")
+        )
+        code, out, err = run(capsys, "montecarlo", "--case", path, "--samples", "5", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "uncertainty.correlations[0] is missing required field 'bus_j'" in err
+
     def test_case_without_uncertainty_exits_2(self, capsys):
         path = str(cases.case_path("two_bus"))
         code, _, err = run(capsys, "montecarlo", "--case", path, "--samples", "5", "--seed", "1")
@@ -126,6 +164,10 @@ class TestResources:
         assert code == 0
         payload = json.loads(out)
         assert payload == {"n_clock": 4, "n_vector": 2, "qubits_total": 7}
+
+    def test_output_bytes(self, capsys):
+        _, out, _ = run(capsys, "resources", "--case", FIVE_BUS)
+        assert out == '{\n  "n_clock": 4,\n  "n_vector": 2,\n  "qubits_total": 7\n}\n'
 
     def test_clock_register_option(self, capsys):
         code, out, _ = run(

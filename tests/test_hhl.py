@@ -58,18 +58,29 @@ def bundled_spectra():
                 yield f"{name} {label}", np.linalg.eigvalsh(mat)
 
 
-def dense_hhl(prep, b):
-    """hhl.solve's circuit as one dense operator; returns (x, success probability)."""
+def evolution(prep):
+    """U = e^{iBt} of the padded matrix, from numpy's eigh of the matrix itself."""
+    w, v = np.linalg.eigh(prep.padded_matrix)
+    return (v * np.exp(1j * w * prep.time_step)) @ v.conj().T
+
+
+def dense_hhl_operators(prep):
+    """hhl.solve's QPE and rotation as dense operators, built with np.kron.
+
+    Clock qubit k controls U^(2^(n_clock-1-k)), with the powers taken by
+    repeated matrix products, so nothing is shared with the phase table.
+    """
     lay = prep.layout
     n, nc, m_dim = lay.n_qubits, lay.n_clock, lay.clock_dim
     targets = tuple(lay.vector_qubits)
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    qpe = np.eye(1 << n)
-    for k in range(nc):
-        qpe = kron_operator(n, (k,), had) @ qpe
-    for k in range(nc):
-        qpe = kron_operator(n, targets, prep.unitary_powers[nc - 1 - k], control=k) @ qpe
-    qpe = np.kron(dft_matrix(m_dim, -1.0), np.eye(1 << (n - nc))) @ qpe
+    u = evolution(prep)
+    qpe = [kron_operator(n, (k,), had) for k in range(nc)]
+    qpe += [
+        kron_operator(n, targets, np.linalg.matrix_power(u, 1 << (nc - 1 - k)), control=k)
+        for k in range(nc)
+    ]
+    qpe.append(np.kron(dft_matrix(m_dim, -1.0), np.eye(1 << (n - nc))))
     c = prep.rotation_constant
     rotation = np.zeros((1 << n, 1 << n))
     for m in range(m_dim):
@@ -78,17 +89,29 @@ def dense_hhl(prep, b):
         block = np.kron(np.eye(lay.vector_dim), [[cos_half, -sin_half], [sin_half, cos_half]])
         size = block.shape[0]
         rotation[m * size:(m + 1) * size, m * size:(m + 1) * size] = block
-    circuit = qpe.conj().T @ rotation @ qpe
+    return qpe, rotation
 
+
+def dense_hhl(prep, operators, rhs):
+    """hhl.solve's circuit on dense operators, one right-hand side per row.
+
+    Returns the solutions and success probabilities, row for row.
+    """
+    qpe, rotation = operators
+    lay = prep.layout
     dim = prep.dimension
-    b_norm = np.linalg.norm(b)
-    psi = np.zeros(lay.vector_dim, dtype=complex)
-    psi[:dim] = b / b_norm
-    start = np.zeros((m_dim, lay.vector_dim, 2), dtype=complex)
-    start[0, :, 0] = psi
-    final = (circuit @ start.reshape(-1)).reshape(m_dim, lay.vector_dim, 2)
-    success = float(np.sum(np.abs(final[:, :, 1]) ** 2))
-    x = final[0, :dim, 1] * b_norm * prep.scale / c
+    b_norm = np.linalg.norm(rhs, axis=1)
+    states = np.zeros((len(rhs), lay.clock_dim, lay.vector_dim, 2), dtype=complex)
+    states[:, 0, :dim, 0] = rhs / b_norm[:, None]
+    states = states.reshape(len(rhs), -1).T  # one column per right-hand side
+    for op in qpe:
+        states = op @ states
+    states = rotation @ states
+    for op in reversed(qpe):
+        states = (states.T.conj() @ op).conj().T  # op^H applied to each column
+    final = states.T.reshape(len(rhs), lay.clock_dim, lay.vector_dim, 2)
+    success = np.sum(np.abs(final[:, :, :, 1]) ** 2, axis=(1, 2))
+    x = final[:, 0, :dim, 1] * (b_norm * prep.scale / prep.rotation_constant)[:, None]
     return x, success
 
 
@@ -114,15 +137,34 @@ class TestPrepareSystem:
             hhl.prepare_system(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_cached_powers_unitary(self):
+        # every clock value's phases have unit modulus on an orthonormal basis
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=4))
-        for u in prep.unitary_powers:
-            assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-10
+        q = prep.padded_eigenvectors
+        assert np.abs(q.conj().T @ q - np.eye(2)).max() <= 1e-10
+        assert prep.clock_phases.shape == (16, 2)
+        assert np.abs(np.abs(prep.clock_phases) - 1.0).max() <= 1e-12
 
     def test_powers_are_squares(self):
+        # clock value 2m carries (U^m)^2
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=3))
-        u = prep.unitary_powers
-        assert np.abs(u[0] @ u[0] - u[1]).max() < 1e-9
-        assert np.abs(u[1] @ u[1] - u[2]).max() < 1e-9
+        p = prep.clock_phases
+        for m in (1, 2, 3):
+            assert np.abs(p[m] * p[m] - p[2 * m]).max() < 1e-12
+
+    @pytest.mark.parametrize("name", cases.NAMES)
+    def test_clock_phases_give_evolution_powers(self, name):
+        mats = network.build_b_matrices(cases.load(name))
+        for mat in (mats.b_prime, mats.b_double_prime):
+            if not mat.size:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", hhl.PrecisionWarning)
+                prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=6))
+            q = prep.padded_eigenvectors
+            u = evolution(prep)
+            for m in (0, 1, 2, 5, 17, 63):
+                from_table = (q * prep.clock_phases[m]) @ q.conj().T
+                assert np.abs(from_table - np.linalg.matrix_power(u, m)).max() < 1e-12, m
 
     def test_encoded_range_continuous_mode(self):
         rng = np.random.default_rng(11)
@@ -211,7 +253,6 @@ class TestQPE:
 
     def test_phase_gate_textbook(self):
         # U = diag(1, e^{i pi}) on eigenvector |1>: phase 0.5 -> clock |100>
-        u = np.diag([1.0, np.exp(1j * math.pi)])
         layout = sv.RegisterLayout(3, 1)
         prep = hhl.PreparedSystem(
             matrix=np.eye(2),
@@ -220,7 +261,8 @@ class TestQPE:
             config=hhl.HHLConfig(n_clock=3),
             time_step=1.0,
             scale=1.0,
-            unitary_powers=(u, u @ u, u @ u @ u @ u),
+            padded_eigenvalues=np.array([0.0, math.pi]),
+            padded_eigenvectors=np.eye(2, dtype=complex),
             eigenvalues=np.array([1.0]),
             encoded_eigenvalues=np.array([4.0]),
             rotation_constant=1.0,
@@ -233,8 +275,9 @@ class TestQPE:
 
     def test_rejects_dirty_clock(self):
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))
-        state = sv.init_state(prep.layout, np.array([1.0, 0.0]))
-        state = sv.apply_gate(state, sv.pauli_x(0))
+        amps = np.zeros(1 << prep.layout.n_qubits, dtype=complex)
+        amps.reshape(4, 2, 2)[2, 0, 0] = 1.0  # clock |10>: its first qubit is set
+        state = sv.StateVector(prep.layout, amps)
         with pytest.raises(ValueError, match="clock register"):
             hhl.run_qpe(prep, state)
 
@@ -390,16 +433,23 @@ class TestSolve:
 
     @pytest.mark.parametrize("matrix", ["b_prime", "b_double_prime"])
     def test_matches_dense_pipeline(self, matrix):
-        mat = getattr(network.build_b_matrices(cases.five_bus()), matrix)
-        prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=4))
-        assert prep.layout.n_qubits == 7
+        # every bundled case, with the largest clock that keeps 10 qubits
         rng = np.random.default_rng(17)
-        for _ in range(3):
-            rhs = rng.standard_normal(prep.dimension)
-            sol = hhl.solve(prep, rhs)
-            x, success = dense_hhl(prep, rhs)
-            assert np.abs(sol.solution - x).max() < 1e-12
-            assert sol.success_probability == pytest.approx(success, abs=1e-12)
+        for name in cases.NAMES:
+            mat = getattr(network.build_b_matrices(cases.load(name)), matrix)
+            if not mat.size:
+                continue
+            n_vector = max(1, math.ceil(math.log2(mat.shape[0])))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", hhl.PrecisionWarning)
+                prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=9 - n_vector))
+            assert prep.layout.n_qubits == 10
+            rhs = rng.standard_normal((3, prep.dimension))
+            xs, successes = dense_hhl(prep, dense_hhl_operators(prep), rhs)
+            for b, x, success in zip(rhs, xs, successes):
+                sol = hhl.solve(prep, b)
+                assert np.abs(sol.solution - x).max() <= 1e-12 * np.abs(x).max(), name
+                assert sol.success_probability == pytest.approx(success, abs=1e-12), name
 
     def test_rejects_zero_rhs(self):
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))

@@ -36,6 +36,22 @@ class TestTrivialCases:
         assert np.allclose(report.v, 1.0)
         assert np.allclose(report.theta, 0.0)
 
+    @pytest.mark.parametrize("method", ["qpf", "fd", "nr"])
+    def test_solve_dispatches_on_method(self, method):
+        report = solvers.solve(cases.five_bus(), solvers.SolverConfig(method=method))
+        assert report.converged
+        assert report.method == method
+
+    def test_solve_looks_up_the_method_at_call_time(self, monkeypatch):
+        # wrappers installed on the module after import must still be reached
+        calls = []
+        original = solvers.solve_fast_decoupled
+        monkeypatch.setattr(
+            solvers, "solve_fast_decoupled", lambda *a: calls.append(a) or original(*a)
+        )
+        solvers.solve(zero_load_case())
+        assert len(calls) == 1
+
     def test_max_iterations_exhausted_is_report_not_error(self):
         report = solvers.solve_fast_decoupled(
             cases.five_bus(), solvers.SolverConfig(max_iterations=1)

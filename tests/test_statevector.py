@@ -22,69 +22,41 @@ def random_unitary(rng, dim):
     return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
 
 
-def gate_matrix(gate):
-    """The gate's unitary on its targets, written out from its parameters."""
-    if gate.kind == "hadamard":
-        return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    if gate.kind == "pauli_x":
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
-    if gate.kind == "phase":
-        return np.diag([1.0, np.exp(1j * gate.angle)])
-    if gate.kind == "ry":
-        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        return np.array([[c, -s], [s, c]])
-    if gate.kind == "swap":
-        return np.eye(4)[[0, 2, 1, 3]]
-    return np.linalg.matrix_power(gate.matrix, gate.power)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-_GATE_RNG = np.random.default_rng(42)
-# Gates on a 7-qubit register (3 clock, 3 vector, 1 ancilla), every kind,
-# with the control before, after and between targets, and targets that are
-# consecutive, scattered or listed out of order.
+def _ry(angle):
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]])
+
+
+def _phase(angle):
+    return np.diag([1.0, np.exp(1j * angle)])
+
+
+# Gates on a 7-qubit register (3 clock, 3 vector, 1 ancilla).
 GATE_CASES = [
     pytest.param(sv.hadamard(0), id="hadamard-first"),
     pytest.param(sv.hadamard(3), id="hadamard-middle"),
     pytest.param(sv.hadamard(6), id="hadamard-last"),
-    pytest.param(sv.pauli_x(4), id="pauli_x"),
-    pytest.param(sv.phase(2, 0.7), id="phase"),
-    pytest.param(sv.GateOp("ry", (5,), angle=0.9), id="ry"),
-    pytest.param(sv.swap(1, 5), id="swap"),
-    pytest.param(sv.swap(5, 1), id="swap-reversed"),
-    pytest.param(sv.controlled_phase(1, 5, -1.2), id="phase-control-before"),
-    pytest.param(sv.controlled_phase(5, 1, -1.2), id="phase-control-after"),
-    pytest.param(sv.controlled_ry(6, 2, 0.4), id="ry-control-after"),
-    pytest.param(sv.GateOp("pauli_x", (0,), control=6), id="pauli_x-control-after"),
-    pytest.param(sv.GateOp("hadamard", (4,), control=3), id="hadamard-control-adjacent"),
-    pytest.param(
-        sv.controlled_unitary(0, (3, 4, 5), random_unitary(_GATE_RNG, 8)),
-        id="unitary-control-before-consecutive",
-    ),
-    pytest.param(
-        sv.controlled_unitary(2, (3, 4, 5), random_unitary(_GATE_RNG, 8), power=3),
-        id="unitary-power-control-adjacent",
-    ),
-    pytest.param(
-        sv.controlled_unitary(6, (3, 4), random_unitary(_GATE_RNG, 4)),
-        id="unitary-control-after-consecutive",
-    ),
-    pytest.param(
-        sv.controlled_unitary(2, (0, 3), random_unitary(_GATE_RNG, 4)),
-        id="unitary-control-between",
-    ),
-    pytest.param(
-        sv.controlled_unitary(3, (6, 1), random_unitary(_GATE_RNG, 4)),
-        id="unitary-control-between-reversed",
-    ),
-    pytest.param(
-        sv.controlled_unitary(1, (5, 4), random_unitary(_GATE_RNG, 4)),
-        id="unitary-control-before-reversed",
-    ),
-    pytest.param(
-        sv.controlled_unitary(4, (0, 2, 6), random_unitary(_GATE_RNG, 8)),
-        id="unitary-control-between-scattered",
-    ),
+    pytest.param(sv.GateOp(4, _X), id="pauli_x"),
+    pytest.param(sv.GateOp(2, _phase(0.7)), id="phase"),
+    pytest.param(sv.GateOp(5, _ry(0.9)), id="ry"),
+    pytest.param(sv.GateOp(1, random_unitary(np.random.default_rng(42), 2)), id="unitary"),
 ]
+
+
+def clock_state(layout, clock_value, psi):
+    """|clock_value>_clock (x) |psi>_vector (x) |0>_ancilla."""
+    amps = np.zeros(1 << layout.n_qubits, dtype=complex)
+    amps.reshape(layout.clock_dim, layout.vector_dim, 2)[clock_value, :, 0] = psi
+    return sv.StateVector(layout, amps)
+
+
+def evolution_phases(layout, eigenphases):
+    """Phase table of U^m for U = diag(e^{i eigenphases}) in its own eigenbasis."""
+    m = np.arange(layout.clock_dim)[:, None]
+    return np.exp(1j * m * np.asarray(eigenphases)[None, :])
 
 
 class TestLayout:
@@ -136,71 +108,18 @@ class TestGates:
 
     def test_pauli_x(self):
         state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
-        out = sv.apply_gate(state, sv.pauli_x(1))
+        out = sv.apply_gate(state, sv.GateOp(1, _X))
         assert out.tensor()[0, 1, 0] == pytest.approx(1.0)
-
-    def test_controlled_unitary_power_squares(self):
-        # U = diag(1, -1), power 2 -> identity on the controlled branch
-        state = sv.init_state(LAYOUT, np.array([0.0, 1.0]))
-        state = sv.apply_gate(state, sv.pauli_x(0))  # set the control qubit
-        gate = sv.controlled_unitary(0, (1,), np.diag([1.0, -1.0]), power=2)
-        out = sv.apply_gate(state, gate)
-        assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
-
-    def test_controlled_unitary_noop_when_control_zero(self):
-        state = sv.init_state(LAYOUT, np.array([0.0, 1.0]))
-        gate = sv.controlled_unitary(0, (1,), np.diag([1.0, -1.0]))
-        out = sv.apply_gate(state, gate)
-        assert np.abs(out.amplitudes - state.amplitudes).max() == 0.0
-
-    def test_swap(self):
-        lay = sv.RegisterLayout(1, 2, 1)
-        state = sv.init_state(lay, np.array([0.0, 1.0, 0.0, 0.0]))  # vector |01>
-        out = sv.apply_gate(state, sv.swap(1, 2))
-        assert out.tensor()[0, 2, 0] == pytest.approx(1.0)  # vector |10>
-
-    def test_controlled_phase(self):
-        lay = sv.RegisterLayout(1, 1, 1)
-        minus = np.array([1.0, -1.0]) / math.sqrt(2)
-        state = sv.init_state(lay, minus)
-        state = sv.apply_gate(state, sv.hadamard(0))
-        out = sv.apply_gate(state, sv.controlled_phase(0, 1, math.pi))
-        t = out.tensor()
-        # control |1> branch got vector phases (1, e^{i pi}): |-> -> |+>
-        assert t[1, 0, 0] == pytest.approx(0.5)
-        assert t[1, 1, 0] == pytest.approx(0.5)
-
-    def test_controlled_ry_angle(self):
-        lay = sv.RegisterLayout(1, 1, 1)
-        state = sv.init_state(lay, np.array([1.0, 0.0]))
-        state = sv.apply_gate(state, sv.pauli_x(0))
-        theta = 2.0 * math.asin(0.6)
-        out = sv.apply_gate(state, sv.controlled_ry(0, 2, theta))
-        t = out.tensor()
-        assert abs(t[1, 0, 1]) == pytest.approx(0.6)
-        assert abs(t[1, 0, 0]) == pytest.approx(0.8)
-
-    def test_control_above_target(self):
-        # ancilla-controlled X on the clock qubit: |c v a> -> |(c^a) v a>
-        state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
-        state = sv.apply_gate(state, sv.pauli_x(2))  # set the ancilla
-        out = sv.apply_gate(state, sv.controlled_unitary(2, (0,), np.array([[0, 1], [1, 0]])))
-        assert out.tensor()[1, 0, 1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("gate", GATE_CASES)
     def test_matches_kron_operator(self, gate):
         rng = np.random.default_rng(43)
         lay = sv.RegisterLayout(3, 3, 1)
-        dense = kron_operator(lay.n_qubits, gate.targets, gate_matrix(gate), gate.control)
+        dense = kron_operator(lay.n_qubits, (gate.target,), gate.matrix)
         for _ in range(3):
             state = random_state(rng, lay)
             out = sv.apply_gate(state, gate)
             assert np.abs(out.amplitudes - dense @ state.amplitudes).max() < 1e-12
-
-    def test_rejects_control_equal_target(self):
-        state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="also a target"):
-            sv.apply_gate(state, sv.controlled_ry(1, 1, 0.3))
 
     def test_rejects_out_of_range(self):
         state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
@@ -209,7 +128,7 @@ class TestGates:
 
     def test_rejects_non_unitary_block(self):
         with pytest.raises(ValueError, match="not unitary"):
-            sv.controlled_unitary(0, (1,), np.array([[1.0, 0.0], [1.0, 1.0]]))
+            sv.GateOp(0, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
     def test_norm_preserved_random_gates(self):
         rng = np.random.default_rng(7)
@@ -217,17 +136,17 @@ class TestGates:
         state = random_state(rng, lay)
         gates = [
             sv.hadamard(0),
-            sv.pauli_x(3),
-            sv.phase(2, 0.7),
-            sv.controlled_phase(0, 4, -1.2),
-            sv.swap(1, 3),
-            sv.controlled_ry(1, 4, 0.9),
-            sv.controlled_unitary(0, (2, 3), np.linalg.qr(
-                rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]),
+            sv.GateOp(3, _X),
+            sv.GateOp(2, _phase(0.7)),
+            sv.GateOp(4, _ry(0.9)),
+            sv.GateOp(1, random_unitary(rng, 2)),
         ]
         for gate in gates:
             state = sv.apply_gate(state, gate)
             assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        q = random_unitary(rng, lay.vector_dim)
+        state = sv.apply_clock_controlled(state, q, evolution_phases(lay, [0.3, -1.1, 2.0, 0.7]))
+        assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_gate_linearity(self):
         rng = np.random.default_rng(8)
@@ -236,13 +155,58 @@ class TestGates:
         s2 = random_state(rng, lay)
         alpha, beta = 0.3 - 0.2j, 0.8 + 0.1j
         mix = sv.StateVector(lay, alpha * s1.amplitudes + beta * s2.amplitudes)
-        for gate in (sv.hadamard(1), sv.controlled_ry(0, 3, 0.4), sv.swap(0, 2)):
+        for gate in (sv.hadamard(1), sv.GateOp(3, _ry(0.4)), sv.GateOp(0, random_unitary(rng, 2))):
             lhs = sv.apply_gate(mix, gate).amplitudes
             rhs = (
                 alpha * sv.apply_gate(s1, gate).amplitudes
                 + beta * sv.apply_gate(s2, gate).amplitudes
             )
             assert np.abs(lhs - rhs).max() < 1e-12
+
+    # The clock-controlled evolution sum_m |m><m| (x) U^m, one register-level
+    # operation in U's eigenbasis.
+
+    def test_controlled_unitary_noop_when_control_zero(self):
+        # clock value 0 carries U^0, the identity
+        lay = sv.RegisterLayout(2, 1, 1)
+        state = clock_state(lay, 0, np.array([0.6, 0.8j]))
+        q = random_unitary(np.random.default_rng(3), 2)
+        out = sv.apply_clock_controlled(state, q, evolution_phases(lay, [0.4, 2.1]))
+        assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-15
+
+    def test_controlled_unitary_power_squares(self):
+        # U = diag(1, -1): clock value 2 carries U^2, the identity
+        lay = sv.RegisterLayout(2, 1, 1)
+        state = clock_state(lay, 2, np.array([0.0, 1.0]))
+        out = sv.apply_clock_controlled(state, np.eye(2), evolution_phases(lay, [0.0, math.pi]))
+        assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
+
+    def test_controlled_phase(self):
+        # on a one-qubit clock the evolution is a controlled phase gate
+        lay = sv.RegisterLayout(1, 1, 1)
+        minus = np.array([1.0, -1.0]) / math.sqrt(2)
+        state = sv.init_state(lay, minus)
+        state = sv.apply_gate(state, sv.hadamard(0))
+        out = sv.apply_clock_controlled(state, np.eye(2), evolution_phases(lay, [0.0, math.pi]))
+        t = out.tensor()
+        # control |1> branch got vector phases (1, e^{i pi}): |-> -> |+>
+        assert t[1, 0, 0] == pytest.approx(0.5)
+        assert t[1, 1, 0] == pytest.approx(0.5)
+
+    def test_matches_controlled_powers(self):
+        # each clock qubit k controls U^(2^(n_clock-1-k)), written densely
+        rng = np.random.default_rng(44)
+        lay = sv.RegisterLayout(3, 2, 1)
+        q = random_unitary(rng, lay.vector_dim)
+        eigenphases = rng.uniform(-math.pi, math.pi, lay.vector_dim)
+        u = (q * np.exp(1j * eigenphases)) @ q.conj().T
+        dense = np.eye(1 << lay.n_qubits)
+        for k in lay.clock_qubits:
+            power = np.linalg.matrix_power(u, 1 << (lay.n_clock - 1 - k))
+            dense = kron_operator(lay.n_qubits, tuple(lay.vector_qubits), power, control=k) @ dense
+        state = random_state(rng, lay)
+        out = sv.apply_clock_controlled(state, q, evolution_phases(lay, eigenphases))
+        assert np.abs(out.amplitudes - dense @ state.amplitudes).max() < 1e-12
 
 
 class TestQFT:
