@@ -85,6 +85,14 @@ def _finite(value, field: str, where: str) -> float:
     return x
 
 
+def _integer(value, field: str, where: str) -> int:
+    """``value`` as an int; anything but a whole JSON number is an input error."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise CaseError(f"{where}: field {field!r} is not an integer ({value!r})")
+    return int(value)
+
+
 # -- native JSON ------------------------------------------------------------
 
 
@@ -112,12 +120,15 @@ def _parse_native(text: str) -> CaseDocument:
         value = need(rec, key, where) if default is None else rec.get(key, default)
         return _finite(value, key, where)
 
+    def integer(rec, key, where):
+        return _integer(need(rec, key, where), key, where)
+
     buses = []
-    for rec in records("buses"):
+    for k, rec in enumerate(records("buses")):
         where = f"bus {rec.get('id')}"
         buses.append(
             Bus(
-                id=int(need(rec, "id", "bus record")),
+                id=integer(rec, "id", f"buses[{k}]"),
                 kind=str(need(rec, "kind", where)).lower(),
                 pd=number(rec, "pd", 0.0, where),
                 qd=number(rec, "qd", 0.0, where),
@@ -129,12 +140,12 @@ def _parse_native(text: str) -> CaseDocument:
             )
         )
     branches = []
-    for rec in records("branches"):
+    for k, rec in enumerate(records("branches")):
         where = f"branch {rec.get('from')}-{rec.get('to')}"
         branches.append(
             Branch(
-                from_bus=int(need(rec, "from", "branch record")),
-                to_bus=int(need(rec, "to", "branch record")),
+                from_bus=integer(rec, "from", f"branches[{k}]"),
+                to_bus=integer(rec, "to", f"branches[{k}]"),
                 r=number(rec, "r", 0.0, where),
                 x=number(rec, "x", None, where),
                 b=number(rec, "b", 0.0, where),
@@ -161,7 +172,7 @@ def _parse_native(text: str) -> CaseDocument:
         recs = []
         for k, rec in enumerate(unc.get("injections", [])):
             where = f"uncertainty.injections[{k}]"
-            bus_id = int(need(rec, "bus", where))
+            bus_id = integer(rec, "bus", where)
             try:
                 idx = case.bus_index(bus_id)
             except KeyError:
@@ -183,8 +194,8 @@ def _parse_native(text: str) -> CaseDocument:
             where = f"uncertainty.correlations[{k}]"
             pairs.append(
                 (
-                    int(need(rec, "bus_i", where)),
-                    int(need(rec, "bus_j", where)),
+                    integer(rec, "bus_i", where),
+                    integer(rec, "bus_j", where),
                     number(rec, "rho", None, where),
                 )
             )

@@ -340,7 +340,6 @@ def solve(
 
     _, success_probability, state = sv.measure_qubit(state, lay.ancilla_qubit, post_select=1)
     vec, slice_norm = sv.extract_register(state)
-    leakage = max(0.0, 1.0 - slice_norm * slice_norm)
 
     raw = vec * slice_norm * math.sqrt(success_probability)
     x_padded = raw * b_norm * prepared.scale / prepared.rotation_constant
@@ -365,5 +364,5 @@ def solve(
         success_probability=float(success_probability),
         recovered_norm=float(np.linalg.norm(x)),
         fidelity_vs_classical=fidelity,
-        clock_leakage=leakage,
+        clock_leakage=clock_leakage(state),
     )

@@ -63,9 +63,15 @@ class Branch:
         if self.tap <= 0.0:
             raise ValueError(f"branch {self.from_bus}-{self.to_bus}: tap must be positive")
 
-    @property
-    def series_admittance(self) -> complex:
-        return 1.0 / complex(self.r, self.x)
+    def pi_admittances(self) -> tuple[complex, complex, complex, complex]:
+        """(yff, yft, ytf, ytt) of the pi model: terminal currents from voltages.
+
+        Half the charging sits at each end; the tap divides the from side.
+        """
+        ys = 1.0 / complex(self.r, self.x)
+        ych = 1j * self.b / 2.0
+        mutual = -ys / self.tap  # no phase shift, so yft = ytf
+        return (ys + ych) / (self.tap * self.tap), mutual, mutual, ys + ych
 
 
 @dataclass(frozen=True)
@@ -143,24 +149,17 @@ class NetworkCase:
     def pq_indices(self) -> np.ndarray:
         return np.array([i for i, b in enumerate(self.buses) if b.kind == PQ], dtype=int)
 
-    @property
-    def pv_indices(self) -> np.ndarray:
-        return np.array([i for i, b in enumerate(self.buses) if b.kind == PV], dtype=int)
-
     def scheduled_injections(self) -> tuple[np.ndarray, np.ndarray]:
         """Net scheduled (P, Q) per bus: generation minus load."""
         p = np.array([b.pg - b.pd for b in self.buses])
         q = np.array([b.qg - b.qd for b in self.buses])
         return p, q
 
-    def start_voltages(self, flat: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Initial (V, theta): setpoints at slack/PV, flat 1.0 elsewhere.
-
-        With flat=False, PQ buses start from their vset field instead of 1.
-        """
+    def start_voltages(self) -> tuple[np.ndarray, np.ndarray]:
+        """Initial (V, theta): setpoints at slack/PV, flat 1.0 elsewhere."""
         v = np.ones(self.n_bus)
         for i, b in enumerate(self.buses):
-            if b.kind in (SLACK, PV) or not flat:
+            if b.kind in (SLACK, PV):
                 v[i] = b.vset
         return v, np.zeros(self.n_bus)
 
@@ -206,13 +205,11 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
     for br in case.branches:
         i = case.bus_index(br.from_bus)
         j = case.bus_index(br.to_bus)
-        ys = br.series_admittance
-        ych = 1j * br.b / 2.0
-        tap = br.tap
-        y[i, i] += (ys + ych) / (tap * tap)
-        y[j, j] += ys + ych
-        y[i, j] -= ys / tap
-        y[j, i] -= ys / tap
+        yff, yft, ytf, ytt = br.pi_admittances()
+        y[i, i] += yff
+        y[i, j] += yft
+        y[j, i] += ytf
+        y[j, j] += ytt
     for k, bus in enumerate(case.buses):
         y[k, k] += complex(bus.gs, bus.bs)
     return y

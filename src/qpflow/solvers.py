@@ -1,20 +1,23 @@
-"""Power-flow solvers: the quantum-assisted decoupled loop and its oracles.
+"""Power-flow solvers: one iteration loop, one update step per method.
 
-All three methods share the same outer structure: evaluate the mismatch,
-solve the update equations, apply the update, re-evaluate, and stop once
-both mismatch infinity norms fall below the tolerance. One iteration is
-one linear-solve pass, so an already-solved case still reports a single
-iteration. The decoupled methods solve
+All three methods run the same loop: start from the setpoint voltages,
+evaluate the mismatch, take the method's update step, apply it,
+re-evaluate, and stop once both mismatch infinity norms fall below the
+tolerance. One iteration is one step, so an already-solved case still
+reports a single iteration. The loop also stops early, with a warning, when
+a voltage magnitude collapses to zero or the step's linear system is
+singular. A method supplies only its step. The decoupled step, shared by
+qpf and fd, solves
 
     B'  (V dtheta) = dP / V        then  dtheta = (V dtheta) / V
     B'' (dV)       = dQ / V
 
-with constant matrices; the quantum variant routes both systems through
-the HHL solver prepared once on the first iteration, the classical variant
-uses the direct solver, and Newton-Raphson rebuilds the full polar
-Jacobian every pass. Non-convergence is a report state, never an
-exception, since stressed studies run deliberately close to the
-solvability boundary.
+with constant matrices and skips a solve whose right-hand side is exactly
+zero: qpf solves both systems with HHL, prepared once before the first
+iteration, and fd with the direct solver. Newton-Raphson's step solves the
+full polar Jacobian, rebuilt every pass. Non-convergence is a report
+state, never an exception, since stressed studies run deliberately close
+to the solvability boundary.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ class SolverConfig:
     tolerance: float = 1e-5
     max_iterations: int = 100
     hhl: hhl.HHLConfig = field(default_factory=hhl.HHLConfig)
-    flat_start: bool = True
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -107,125 +109,67 @@ class SolveReport:
     warnings: tuple[str, ...] = ()
 
 
-def _zero_safe_solve(solve, rhs: np.ndarray):
-    """Skip the linear solver entirely on an exactly-zero right-hand side."""
-    if rhs.size == 0 or not np.any(rhs):
-        return np.zeros_like(rhs), None
-    return solve(rhs)
+def _iterate(
+    case: NetworkCase,
+    config: SolverConfig,
+    method: str,
+    step,
+    ybus: np.ndarray,
+    prepared: tuple[hhl.PreparedSystem, ...] = (),
+) -> SolveReport:
+    """The loop every method shares; ``step`` is the method's update.
 
-
-class _DirectBackend:
-    """Classical oracle: direct dense solves against the constant matrices."""
-
-    def __init__(self, mats: network.FastDecoupledMatrices):
-        self.mats = mats
-        self.warnings: tuple[str, ...] = ()
-
-    def solve_p(self, rhs):
-        return linalg.solve_direct(self.mats.b_prime, rhs).real, None
-
-    def solve_q(self, rhs):
-        return linalg.solve_direct(self.mats.b_double_prime, rhs).real, None
-
-
-class _HHLBackend:
-    """Quantum route: systems prepared once, reused every iteration."""
-
-    def __init__(self, mats: network.FastDecoupledMatrices, config: hhl.HHLConfig):
-        self.prepared_p = hhl.prepare_system(mats.b_prime, config)
-        self.prepared_q = (
-            hhl.prepare_system(mats.b_double_prime, config)
-            if mats.b_double_prime.size
-            else None
-        )
-        self.invocations = 0
-        self.warnings = tuple(
-            w
-            for w in (
-                self.prepared_p.warning,
-                self.prepared_q.warning if self.prepared_q else None,
-            )
-            if w
-        )
-
-    def solve_p(self, rhs):
-        self.invocations += 1
-        sol = hhl.solve(self.prepared_p, rhs, diagnostics=False)
-        return np.real(sol.solution), sol.success_probability
-
-    def solve_q(self, rhs):
-        self.invocations += 1
-        sol = hhl.solve(self.prepared_q, rhs, diagnostics=False)
-        return np.real(sol.solution), sol.success_probability
-
-
-def _decoupled_loop(case: NetworkCase, config: SolverConfig, quantum: bool) -> SolveReport:
-    mats = network.build_b_matrices(case)
-    ybus = network.build_ybus(case)
+    ``step(v, theta, mismatch)`` returns dtheta over the non-slack buses,
+    dV over the PQ buses and the HHL success probabilities of the pass, and
+    may raise ``np.linalg.LinAlgError`` on a singular system. ``prepared``
+    holds the HHL systems a quantum step solves with; their warnings and
+    usage counters go into the report.
+    """
     ns = case.non_slack_indices
     pq = case.pq_indices
 
-    v, theta = case.start_voltages(flat=config.flat_start)
+    v, theta = case.start_voltages()
     mis = network.compute_mismatch(case, v, theta, ybus)
 
-    backend = None
     records: list[IterationRecord] = []
+    warnings = [p.warning for p in prepared if p.warning]
+    hhl_calls = 0
     converged = False
-    diverged = None
-    iterations = 0
     for k in range(1, config.max_iterations + 1):
-        iterations = k
-        if backend is None:  # first iteration only: hand the matrices over
-            backend = _HHLBackend(mats, config.hhl) if quantum else _DirectBackend(mats)
-
-        success: list[float] = []
-        rhs_p = network.scaled_rhs(mis.dp, v[ns])
-        v_dtheta, prob = _zero_safe_solve(backend.solve_p, rhs_p)
-        if prob is not None:
-            success.append(prob)
-        dtheta = v_dtheta / v[ns]
-
-        dv = np.zeros(pq.size)
-        if pq.size:
-            rhs_q = network.scaled_rhs(mis.dq, v[pq])
-            dv, prob = _zero_safe_solve(backend.solve_q, rhs_q)
-            if prob is not None:
-                success.append(prob)
+        try:
+            dtheta, dv, success = step(v, theta, mis)
+        except np.linalg.LinAlgError:
+            warnings.append(f"singular Jacobian at iteration {k}")
+            break
+        hhl_calls += len(success)
 
         v_next = v.copy()
         v_next[pq] += dv
         if np.any(v_next <= 0.0):
-            diverged = f"voltage magnitude collapsed to zero at iteration {k}; stopping"
+            warnings.append(f"voltage magnitude collapsed to zero at iteration {k}; stopping")
             break
         theta = theta.copy()
         theta[ns] += dtheta
         v = v_next
 
         mis = network.compute_mismatch(case, v, theta, ybus)
-        records.append(
-            IterationRecord(k, v.copy(), theta.copy(), mis.norm_p, mis.norm_q, tuple(success))
-        )
+        records.append(IterationRecord(k, v.copy(), theta.copy(), mis.norm_p, mis.norm_q, success))
         if mis.norm_p < config.tolerance and mis.norm_q < config.tolerance:
             converged = True
             break
 
+    # k is the last iteration run: max_iterations >= 1, so the loop ran
     resource = None
-    warnings: tuple[str, ...] = backend.warnings if backend else ()
-    if diverged:
-        warnings = warnings + (diverged,)
-    if quantum:
-        est = resource_estimate(case, config)
-        n_systems = 1 + (1 if mats.b_double_prime.size else 0)
+    if prepared:
         resource = replace(
-            est,
-            hhl_invocations=backend.invocations,
-            prepare_reuse=(iterations - 1) * n_systems,
+            resource_estimate(case, config),
+            hhl_invocations=hhl_calls,
+            prepare_reuse=(k - 1) * len(prepared),
         )
-
     return SolveReport(
-        method=QPF if quantum else FAST_DECOUPLED,
+        method=method,
         converged=converged,
-        iterations=iterations,
+        iterations=k,
         v=v,
         theta=theta,
         bus_ids=tuple(b.id for b in case.buses),
@@ -234,20 +178,64 @@ def _decoupled_loop(case: NetworkCase, config: SolverConfig, quantum: bool) -> S
         trace=tuple(records),
         tolerance=config.tolerance,
         resource=resource,
-        warnings=warnings,
+        warnings=tuple(warnings),
     )
+
+
+def _decoupled_step(case: NetworkCase, solve, systems: tuple):
+    """The fd and qpf update: B' for V dtheta, then B'' for dV.
+
+    ``solve(system, rhs)`` returns the solution and the success
+    probabilities of the HHL calls it made. An exactly zero (or empty)
+    right-hand side skips its solve.
+    """
+    ns = case.non_slack_indices
+    pq = case.pq_indices
+
+    def step(v, theta, mis):
+        updates = []
+        success: tuple[float, ...] = ()
+        for system, delta, vk in zip(systems, (mis.dp, mis.dq), (v[ns], v[pq])):
+            rhs = network.scaled_rhs(delta, vk)
+            x = np.zeros_like(rhs)
+            if np.any(rhs):
+                x, probs = solve(system, rhs)
+                success += probs
+            updates.append(x)
+        return updates[0] / v[ns], updates[1], success
+
+    return step
+
+
+def _direct(matrix: np.ndarray, rhs: np.ndarray):
+    return linalg.solve_direct(matrix, rhs).real, ()
+
+
+def _hhl(prepared: hhl.PreparedSystem, rhs: np.ndarray):
+    sol = hhl.solve(prepared, rhs, diagnostics=False)
+    return np.real(sol.solution), (sol.success_probability,)
 
 
 def solve_qpf(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:
     """Decoupled power flow with both update systems solved by HHL."""
     config = config or SolverConfig(method=QPF)
-    return _decoupled_loop(case, config, quantum=True)
+    mats = network.build_b_matrices(case)
+    # with no PQ bus, B'' and its right-hand side are empty: nothing to solve
+    systems = (
+        hhl.prepare_system(mats.b_prime, config.hhl),
+        hhl.prepare_system(mats.b_double_prime, config.hhl) if mats.b_double_prime.size else None,
+    )
+    step = _decoupled_step(case, _hhl, systems)
+    prepared = tuple(s for s in systems if s is not None)
+    return _iterate(case, config, QPF, step, network.build_ybus(case), prepared)
 
 
 def solve_fast_decoupled(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:
     """Classical twin of solve_qpf: same loop, direct linear solves."""
     config = config or SolverConfig(method=FAST_DECOUPLED)
-    return _decoupled_loop(case, config, quantum=False)
+    mats = network.build_b_matrices(case)
+    step = _decoupled_step(case, _direct, (mats.b_prime, mats.b_double_prime))
+    return _iterate(case, config, FAST_DECOUPLED, step, network.build_ybus(case))
 
 
 def solve(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:
@@ -278,61 +266,21 @@ def solve_newton(case: NetworkCase, config: SolverConfig | None = None) -> Solve
     ns = case.non_slack_indices
     pq = case.pq_indices
 
-    v, theta = case.start_voltages(flat=config.flat_start)
-    mis = network.compute_mismatch(case, v, theta, ybus)
-
-    records: list[IterationRecord] = []
-    warnings: list[str] = []
-    converged = False
-    iterations = 0
-    for k in range(1, config.max_iterations + 1):
-        iterations = k
+    def step(v, theta, mis):
         rhs = np.concatenate([mis.dp, mis.dq])
+        dx = np.zeros(ns.size + pq.size)
         if np.any(rhs):
-            vc = v * np.exp(1j * theta)
-            ds_dtheta, ds_dvm = _polar_jacobian(ybus, vc)
+            ds_dtheta, ds_dvm = _polar_jacobian(ybus, v * np.exp(1j * theta))
             jac = np.block(
                 [
                     [ds_dtheta[np.ix_(ns, ns)].real, ds_dvm[np.ix_(ns, pq)].real],
                     [ds_dtheta[np.ix_(pq, ns)].imag, ds_dvm[np.ix_(pq, pq)].imag],
                 ]
             )
-            try:
-                step = np.linalg.solve(jac, rhs)
-            except np.linalg.LinAlgError:
-                warnings.append(f"singular Jacobian at iteration {k}")
-                break
-        else:
-            step = np.zeros(ns.size + pq.size)
+            dx = np.linalg.solve(jac, rhs)
+        return dx[: ns.size], dx[ns.size :], ()
 
-        v_next = v.copy()
-        v_next[pq] += step[ns.size :]
-        if np.any(v_next <= 0.0):
-            warnings.append(f"voltage magnitude collapsed to zero at iteration {k}; stopping")
-            break
-        theta = theta.copy()
-        theta[ns] += step[: ns.size]
-        v = v_next
-
-        mis = network.compute_mismatch(case, v, theta, ybus)
-        records.append(IterationRecord(k, v.copy(), theta.copy(), mis.norm_p, mis.norm_q))
-        if mis.norm_p < config.tolerance and mis.norm_q < config.tolerance:
-            converged = True
-            break
-
-    return SolveReport(
-        method=NEWTON,
-        converged=converged,
-        iterations=iterations,
-        v=v,
-        theta=theta,
-        bus_ids=tuple(b.id for b in case.buses),
-        slack_bus=case.buses[case.slack_index].id,
-        flows=branch_flows(case, v, theta),
-        trace=tuple(records),
-        tolerance=config.tolerance,
-        warnings=tuple(warnings),
-    )
+    return _iterate(case, config, NEWTON, step, ybus)
 
 
 def branch_flows(case: NetworkCase, v: np.ndarray, theta: np.ndarray) -> tuple[BranchFlow, ...]:
@@ -342,13 +290,7 @@ def branch_flows(case: NetworkCase, v: np.ndarray, theta: np.ndarray) -> tuple[B
     for br in case.branches:
         i = case.bus_index(br.from_bus)
         j = case.bus_index(br.to_bus)
-        ys = br.series_admittance
-        ych = 1j * br.b / 2.0
-        tap = br.tap
-        yff = (ys + ych) / (tap * tap)
-        yft = -ys / tap
-        ytf = -ys / tap
-        ytt = ys + ych
+        yff, yft, ytf, ytt = br.pi_admittances()
         s_from = vc[i] * np.conj(yff * vc[i] + yft * vc[j])
         s_to = vc[j] * np.conj(ytf * vc[i] + ytt * vc[j])
         out.append(

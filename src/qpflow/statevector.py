@@ -45,21 +45,18 @@ class PostSelectionError(ValueError):
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit counts for the clock, vector and ancilla registers."""
+    """Qubit counts for the clock and vector registers; one ancilla follows them."""
 
     n_clock: int
     n_vector: int
-    n_ancilla: int = 1
 
     def __post_init__(self):
         if self.n_clock < 1 or self.n_vector < 1:
             raise ValueError("clock and vector registers need at least one qubit each")
-        if self.n_ancilla != 1:
-            raise ValueError("layout uses exactly one ancilla qubit")
 
     @property
     def n_qubits(self) -> int:
-        return self.n_clock + self.n_vector + self.n_ancilla
+        return self.n_clock + self.n_vector + 1
 
     @property
     def clock_qubits(self) -> range:

@@ -240,7 +240,7 @@ def test_criterion_8_property_suites():
     rng = np.random.default_rng(99)
     checks = {}
 
-    state = sv.StateVector(sv.RegisterLayout(3, 2, 1), None)
+    state = sv.StateVector(sv.RegisterLayout(3, 2), None)
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     state = sv.StateVector(state.layout, amps / np.linalg.norm(amps))
     after = sv.apply_gate(state, sv.hadamard(2))

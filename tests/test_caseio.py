@@ -84,6 +84,36 @@ class TestNativeParser:
         with pytest.raises(caseio.CaseError, match=message + " is not finite"):
             caseio.parse_document(MINIMAL_JSON.replace(old, new, 1))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"id": 2', '"id": "three"', r"buses\[1\]: field 'id' is not an integer \('three'\)"),
+            ('"id": 2', '"id": 2.5', r"buses\[1\]: field 'id' is not an integer \(2.5\)"),
+            ('"from": 1', '"from": true', r"branches\[0\]: field 'from' is not an integer"),
+            ('"to": 2', '"to": null', r"branches\[0\]: field 'to' is not an integer"),
+            (
+                '"branches"',
+                '"uncertainty": {"injections": [{"bus": 2.5}]}, "branches"',
+                r"uncertainty.injections\[0\]: field 'bus' is not an integer",
+            ),
+            (
+                '"branches"',
+                '"uncertainty": {"injections": [{"bus": 2}], '
+                '"correlations": [{"bus_i": 1, "bus_j": "2", "rho": 0.5}]}, "branches"',
+                r"uncertainty.correlations\[0\]: field 'bus_j' is not an integer",
+            ),
+        ],
+        ids=["bus-word", "bus-fraction", "branch-from", "branch-to", "injection", "correlation"],
+    )
+    def test_non_integer_id_rejected(self, old, new, message):
+        with pytest.raises(caseio.CaseError, match=message):
+            caseio.parse_document(MINIMAL_JSON.replace(old, new, 1))
+
+    def test_whole_float_id_accepted(self):
+        case = caseio.parse_case(MINIMAL_JSON.replace('"id": 2', '"id": 2.0', 1))
+        assert case.buses[1].id == 2
+        assert isinstance(case.buses[1].id, int)
+
     def test_bytes_accepted(self):
         case = caseio.parse_case(MINIMAL_JSON.encode())
         assert case.name == "mini"

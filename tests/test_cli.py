@@ -87,6 +87,17 @@ class TestSolve:
         assert out == ""
         assert "bus 3: field 'pd' is not finite" in err
 
+    def test_non_integer_bus_id_exits_2_without_report(self, tmp_path, capsys):
+        path = edited_five_bus(tmp_path, lambda doc: doc["buses"][2].update(id="three"))
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "solve", "--case", path, "--method", "fd", "--out", str(out_path)
+        )
+        assert code == 2
+        assert not out_path.exists()
+        assert out == ""
+        assert "buses[2]: field 'id' is not an integer ('three')" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "--case", FIVE_BUS, "--frobnicate")
         assert code == 2

@@ -95,7 +95,8 @@ def dense_hhl_operators(prep):
 def dense_hhl(prep, operators, rhs):
     """hhl.solve's circuit on dense operators, one right-hand side per row.
 
-    Returns the solutions and success probabilities, row for row.
+    Returns the solutions, success probabilities and clock leakages (the
+    post-selected mass on clock values other than 0), row for row.
     """
     qpe, rotation = operators
     lay = prep.layout
@@ -111,8 +112,9 @@ def dense_hhl(prep, operators, rhs):
         states = (states.T.conj() @ op).conj().T  # op^H applied to each column
     final = states.T.reshape(len(rhs), lay.clock_dim, lay.vector_dim, 2)
     success = np.sum(np.abs(final[:, :, :, 1]) ** 2, axis=(1, 2))
+    leakage = np.sum(np.abs(final[:, 1:, :, 1]) ** 2, axis=(1, 2)) / success
     x = final[:, 0, :dim, 1] * (b_norm * prep.scale / prep.rotation_constant)[:, None]
-    return x, success
+    return x, success, leakage
 
 
 class TestPrepareSystem:
@@ -433,7 +435,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("matrix", ["b_prime", "b_double_prime"])
     def test_matches_dense_pipeline(self, matrix):
-        # every bundled case, with the largest clock that keeps 10 qubits
+        # every bundled case, with the largest clock that keeps 10 qubits; the
+        # eigenvector right-hand sides include leakages from 1e-26 up to 7e-10,
+        # which 1 - (mass on clock value 0) cannot resolve to 1e-9 relative
         rng = np.random.default_rng(17)
         for name in cases.NAMES:
             mat = getattr(network.build_b_matrices(cases.load(name)), matrix)
@@ -444,12 +448,13 @@ class TestSolve:
                 warnings.simplefilter("ignore", hhl.PrecisionWarning)
                 prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=9 - n_vector))
             assert prep.layout.n_qubits == 10
-            rhs = rng.standard_normal((3, prep.dimension))
-            xs, successes = dense_hhl(prep, dense_hhl_operators(prep), rhs)
-            for b, x, success in zip(rhs, xs, successes):
+            rhs = np.vstack([rng.standard_normal((3, prep.dimension)), np.linalg.eigh(mat)[1].T])
+            xs, successes, leakages = dense_hhl(prep, dense_hhl_operators(prep), rhs)
+            for b, x, success, leakage in zip(rhs, xs, successes, leakages):
                 sol = hhl.solve(prep, b)
                 assert np.abs(sol.solution - x).max() <= 1e-12 * np.abs(x).max(), name
                 assert sol.success_probability == pytest.approx(success, abs=1e-12), name
+                assert abs(sol.clock_leakage - leakage) <= 1e-9 * leakage + 1e-20, name
 
     def test_rejects_zero_rhs(self):
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))

@@ -52,23 +52,34 @@ class TestTrivialCases:
         solvers.solve(zero_load_case())
         assert len(calls) == 1
 
-    def test_max_iterations_exhausted_is_report_not_error(self):
-        report = solvers.solve_fast_decoupled(
-            cases.five_bus(), solvers.SolverConfig(max_iterations=1)
+    @pytest.mark.parametrize("method", ["qpf", "fd", "nr"])
+    def test_max_iterations_exhausted_is_report_not_error(self, method):
+        report = solvers.solve(
+            cases.five_bus(), solvers.SolverConfig(method=method, max_iterations=1)
         )
         assert not report.converged
         assert report.iterations == 1
+        assert len(report.trace) == 1
 
-    def test_newton_non_converged_report(self):
-        report = solvers.solve_newton(
-            cases.five_bus(), solvers.SolverConfig(method="nr", max_iterations=1)
-        )
-        assert not report.converged
-
-    def test_divergent_case_reports_collapse(self):
-        report = solvers.solve_fast_decoupled(stressed_five_bus(6.0))
+    @pytest.mark.parametrize("method", ["qpf", "fd", "nr"])
+    def test_divergent_case_reports_collapse(self, method):
+        report = solvers.solve(stressed_five_bus(6.0), solvers.SolverConfig(method=method))
         assert not report.converged
         assert any("collapsed" in w for w in report.warnings)
+        assert len(report.trace) == report.iterations - 1
+
+    def test_singular_jacobian_stops_newton(self):
+        # the shunt cancels the branch's dQ/dV at flat start, so J is singular
+        case = network.NetworkCase(
+            "singular", 100.0,
+            (network.Bus(1, "slack"), network.Bus(2, "pq", pd=0.1, bs=5.0)),
+            (network.Branch(1, 2, 0.0, 0.1),),
+        )
+        report = solvers.solve_newton(case)
+        assert report.warnings == ("singular Jacobian at iteration 1",)
+        assert report.trace == ()
+        assert not report.converged
+        assert report.iterations == 1
 
 
 class TestOracleAgreement:

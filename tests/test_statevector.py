@@ -8,7 +8,7 @@ import pytest
 from dense_reference import dft_matrix, kron_operator
 from qpflow import statevector as sv
 
-LAYOUT = sv.RegisterLayout(1, 1, 1)
+LAYOUT = sv.RegisterLayout(1, 1)
 
 
 def random_state(rng, layout):
@@ -67,10 +67,6 @@ class TestLayout:
         assert list(lay.vector_qubits) == [4, 5]
         assert lay.ancilla_qubit == 6
 
-    def test_rejects_extra_ancillas(self):
-        with pytest.raises(ValueError):
-            sv.RegisterLayout(2, 2, n_ancilla=2)
-
 
 class TestInitState:
     def test_basis_placement(self):
@@ -114,7 +110,7 @@ class TestGates:
     @pytest.mark.parametrize("gate", GATE_CASES)
     def test_matches_kron_operator(self, gate):
         rng = np.random.default_rng(43)
-        lay = sv.RegisterLayout(3, 3, 1)
+        lay = sv.RegisterLayout(3, 3)
         dense = kron_operator(lay.n_qubits, (gate.target,), gate.matrix)
         for _ in range(3):
             state = random_state(rng, lay)
@@ -132,7 +128,7 @@ class TestGates:
 
     def test_norm_preserved_random_gates(self):
         rng = np.random.default_rng(7)
-        lay = sv.RegisterLayout(2, 2, 1)
+        lay = sv.RegisterLayout(2, 2)
         state = random_state(rng, lay)
         gates = [
             sv.hadamard(0),
@@ -150,7 +146,7 @@ class TestGates:
 
     def test_gate_linearity(self):
         rng = np.random.default_rng(8)
-        lay = sv.RegisterLayout(2, 1, 1)
+        lay = sv.RegisterLayout(2, 1)
         s1 = random_state(rng, lay)
         s2 = random_state(rng, lay)
         alpha, beta = 0.3 - 0.2j, 0.8 + 0.1j
@@ -168,7 +164,7 @@ class TestGates:
 
     def test_controlled_unitary_noop_when_control_zero(self):
         # clock value 0 carries U^0, the identity
-        lay = sv.RegisterLayout(2, 1, 1)
+        lay = sv.RegisterLayout(2, 1)
         state = clock_state(lay, 0, np.array([0.6, 0.8j]))
         q = random_unitary(np.random.default_rng(3), 2)
         out = sv.apply_clock_controlled(state, q, evolution_phases(lay, [0.4, 2.1]))
@@ -176,14 +172,14 @@ class TestGates:
 
     def test_controlled_unitary_power_squares(self):
         # U = diag(1, -1): clock value 2 carries U^2, the identity
-        lay = sv.RegisterLayout(2, 1, 1)
+        lay = sv.RegisterLayout(2, 1)
         state = clock_state(lay, 2, np.array([0.0, 1.0]))
         out = sv.apply_clock_controlled(state, np.eye(2), evolution_phases(lay, [0.0, math.pi]))
         assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
     def test_controlled_phase(self):
         # on a one-qubit clock the evolution is a controlled phase gate
-        lay = sv.RegisterLayout(1, 1, 1)
+        lay = sv.RegisterLayout(1, 1)
         minus = np.array([1.0, -1.0]) / math.sqrt(2)
         state = sv.init_state(lay, minus)
         state = sv.apply_gate(state, sv.hadamard(0))
@@ -196,7 +192,7 @@ class TestGates:
     def test_matches_controlled_powers(self):
         # each clock qubit k controls U^(2^(n_clock-1-k)), written densely
         rng = np.random.default_rng(44)
-        lay = sv.RegisterLayout(3, 2, 1)
+        lay = sv.RegisterLayout(3, 2)
         q = random_unitary(rng, lay.vector_dim)
         eigenphases = rng.uniform(-math.pi, math.pi, lay.vector_dim)
         u = (q * np.exp(1j * eigenphases)) @ q.conj().T
@@ -217,7 +213,7 @@ class TestQFT:
         assert np.abs(via_qft.amplitudes - via_h.amplitudes).max() < 1e-12
 
     def test_uniform_clock_maps_to_zero(self):
-        lay = sv.RegisterLayout(2, 1, 1)
+        lay = sv.RegisterLayout(2, 1)
         amps = np.zeros(1 << lay.n_qubits, dtype=complex)
         amps.reshape(4, 2, 2)[:, 0, 0] = 0.5  # (1/2, 1/2, 1/2, 1/2) on the clock
         out = sv.apply_inverse_qft(sv.StateVector(lay, amps))
@@ -227,7 +223,7 @@ class TestQFT:
     @pytest.mark.parametrize("n_clock", range(1, 10))
     def test_matches_dft_matrix(self, n_clock):
         rng = np.random.default_rng(100 + n_clock)
-        lay = sv.RegisterLayout(n_clock, 1, 1)
+        lay = sv.RegisterLayout(n_clock, 1)
         state = random_state(rng, lay)
         block = state.amplitudes.reshape(lay.clock_dim, -1)
         for transform, sign in ((sv.apply_qft, +1.0), (sv.apply_inverse_qft, -1.0)):
@@ -237,7 +233,7 @@ class TestQFT:
     def test_inverse_of_forward(self):
         rng = np.random.default_rng(9)
         for n_clock in (1, 3, 6):
-            lay = sv.RegisterLayout(n_clock, 1, 1)
+            lay = sv.RegisterLayout(n_clock, 1)
             state = random_state(rng, lay)
             out = sv.apply_inverse_qft(sv.apply_qft(state))
             assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-10
@@ -265,7 +261,7 @@ class TestMeasurement:
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(10)
-        lay = sv.RegisterLayout(2, 2, 1)
+        lay = sv.RegisterLayout(2, 2)
         state = random_state(rng, lay)
         for q in range(lay.n_qubits):
             _, p1, _ = sv.measure_qubit(state, q, post_select=1)
@@ -281,7 +277,7 @@ class TestMeasurement:
 
 class TestExtractRegister:
     def test_clean_slice(self):
-        lay = sv.RegisterLayout(2, 1, 1)
+        lay = sv.RegisterLayout(2, 1)
         psi = np.array([0.6, 0.8])
         amps = np.zeros(1 << lay.n_qubits, dtype=complex)
         amps.reshape(4, 2, 2)[0, :, 1] = psi
@@ -290,7 +286,7 @@ class TestExtractRegister:
         assert norm == pytest.approx(1.0)
 
     def test_mixed_ancilla_slice_norm(self):
-        lay = sv.RegisterLayout(1, 1, 1)
+        lay = sv.RegisterLayout(1, 1)
         psi = np.array([0.6, 0.8])
         amps = np.zeros(1 << lay.n_qubits, dtype=complex)
         t = amps.reshape(2, 2, 2)
