@@ -197,10 +197,11 @@ def _decoupled_step(case: NetworkCase, solve, systems: tuple):
         success: tuple[float, ...] = ()
         for system, delta, vk in zip(systems, (mis.dp, mis.dq), (v[ns], v[pq])):
             rhs = network.scaled_rhs(delta, vk)
-            x = np.zeros_like(rhs)
             if np.any(rhs):
                 x, probs = solve(system, rhs)
                 success += probs
+            else:
+                x = np.zeros_like(rhs)
             updates.append(x)
         return updates[0] / v[ns], updates[1], success
 
