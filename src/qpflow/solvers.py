@@ -5,9 +5,9 @@ evaluate the mismatch, take the method's update step, apply it,
 re-evaluate, and stop once both mismatch infinity norms fall below the
 tolerance. One iteration is one step, so an already-solved case still
 reports a single iteration. The loop also stops early, with a warning, when
-a voltage magnitude collapses to zero or the step's linear system is
-singular. A method supplies only its step. The decoupled step, shared by
-qpf and fd, solves
+a voltage magnitude collapses to zero or the step raises
+np.linalg.LinAlgError (Newton's singular Jacobian). A method supplies only
+its step. The decoupled step, shared by qpf and fd, solves
 
     B'  (V dtheta) = dP / V        then  dtheta = (V dtheta) / V
     B'' (dV)       = dQ / V
@@ -121,7 +121,7 @@ def _iterate(
 
     ``step(v, theta, mismatch)`` returns dtheta over the non-slack buses,
     dV over the PQ buses and the HHL success probabilities of the pass, and
-    may raise ``np.linalg.LinAlgError`` on a singular system. ``prepared``
+    may raise ``np.linalg.LinAlgError`` on a singular Jacobian. ``prepared``
     holds the HHL systems a quantum step solves with; their warnings and
     usage counters go into the report.
     """
