@@ -272,6 +272,8 @@ _MP_COLUMNS = {
     ),
     "gen": ("GEN_BUS", "PG", "QG", "QMAX", "QMIN", "VG", "MBASE", "GEN_STATUS"),
 }
+# Columns holding bus ids or the bus type, which must be whole numbers.
+_MP_INTEGER_COLUMNS = {"bus": (0, 1), "branch": (0, 1), "gen": (0,)}
 
 
 def _parse_matpower(text: str) -> CaseDocument:
@@ -303,12 +305,18 @@ def _parse_matpower(text: str) -> CaseDocument:
                 row = [float(tok) for tok in raw.split()]
             except ValueError as exc:
                 raise CaseError(f"{where} has a non-numeric token", line=line_of(raw)) from exc
-            bad = [col for col, value in enumerate(row) if not math.isfinite(value)]
-            if bad:
-                col = bad[0]
-                names = _MP_COLUMNS[name]
+            names = _MP_COLUMNS[name]
+
+            def reject(col: int, problem: str):
                 field = f"column {col + 1}" + (f" ({names[col]})" if col < len(names) else "")
-                raise CaseError(f"{where}, {field} is not finite ({row[col]})", line=line_of(raw))
+                raise CaseError(f"{where}, {field} {problem} ({row[col]})", line=line_of(raw))
+
+            for col, value in enumerate(row):
+                if not math.isfinite(value):
+                    reject(col, "is not finite")
+            for col in _MP_INTEGER_COLUMNS[name]:
+                if col < len(row) and not row[col].is_integer():
+                    reject(col, "is not an integer")
             rows.append(row)
         return rows
 

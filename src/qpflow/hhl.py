@@ -2,10 +2,12 @@
 
 Pipeline for a Hermitian positive-definite system B x = b:
 
-1. prepare_system: pad B to a power-of-two dimension, scale its spectrum
-   into the clock register's integer range, keep the padded matrix's
-   eigendecomposition, and fix the rotation constant C. Done once per
-   matrix; the prepared system is reused across solves.
+1. prepare_system: diagonalize B once, pad it with the identity to a
+   power-of-two dimension (B (+) I has B's eigenpairs plus (1, e_k) on the
+   padding, so the padded eigenbasis is diag(Q, I)), scale the spectrum
+   into the clock register's integer range and derive the rotation
+   constant C from the encoded spectrum. Done once per matrix; the
+   prepared system is reused across solves.
 2. solve: load |b>, run phase estimation, rotate the ancilla by arcsin(C/m)
    per clock value m, undo phase estimation, post-select the ancilla on
    |1>, read out the vector register, and de-normalize using the known
@@ -23,11 +25,11 @@ because B' and B'' stay constant through a fast-decoupled solve.
 PreparedSystem follows that: when it is built it fixes the (clock value,
 eigenvector) phase table and the (cos, sin) pair of the ancilla rotation
 for every clock value. A solve then only applies them to its right-hand
-side.
+side. The clock size is the only setting.
 
 Eigenvalue scaling prefers an evolution time that lands every eigenvalue
 on (or near) a clock integer, falling back to a margin rule that places
-the largest eigenvalue just below the top of the clock range.
+the largest eigenvalue at EIGENVALUE_MARGIN of the top of the clock range.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from . import linalg, statevector as sv
 EXACT_ATOL = 1e-9
 SNAP_ATOL = 1e-2
 SUPPORT_PROBABILITY = 1e-12
+# Fraction of the clock range the margin rule fills with the largest eigenvalue.
+EIGENVALUE_MARGIN = 0.95
 # Largest statevector prepare_system accepts. A gate or transform holds a
 # few copies of the state at once, so a solve stays near 1 GiB; beyond it
 # the clock size is an input error, caught before any state-sized work.
@@ -59,24 +63,13 @@ class PrecisionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class HHLConfig:
-    """Tuning knobs for the solver.
-
-    rotation_constant=None selects C automatically: the smallest encoded
-    eigenvalue when the encoding is exact, otherwise the smallest clock
-    value that can carry solution weight.
-    """
+    """The solver's one setting: the number of clock qubits."""
 
     n_clock: int = 4
-    rotation_constant: float | None = None
-    eigenvalue_margin: float = 0.95
 
     def __post_init__(self):
         if self.n_clock < 1:
             raise ValueError("n_clock must be at least 1")
-        if not 0.0 < self.eigenvalue_margin < 1.0:
-            raise ValueError("eigenvalue_margin must lie in (0, 1)")
-        if self.rotation_constant is not None and self.rotation_constant <= 0.0:
-            raise ValueError("explicit rotation constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,17 +79,15 @@ class PreparedSystem:
     The phase table of the controlled evolution and the per-clock-value
     rotation are derived from the padded eigenvalues, ``time_step``,
     ``rotation_constant`` and ``layout`` when the system is built.
+    ``rotation_constant`` is the C that prepare_system derives.
     """
 
-    matrix: np.ndarray
-    padded_matrix: np.ndarray
     layout: sv.RegisterLayout
-    config: HHLConfig
     time_step: float
     scale: float  # encoded eigenvalue = scale * true eigenvalue
     padded_eigenvalues: np.ndarray
-    padded_eigenvectors: np.ndarray  # columns diagonalize padded_matrix
-    eigenvalues: np.ndarray
+    padded_eigenvectors: np.ndarray  # columns diagonalize B (+) I
+    eigenvalues: np.ndarray  # B's own, ascending
     encoded_eigenvalues: np.ndarray
     rotation_constant: float
     exact_encoding: bool
@@ -121,31 +112,27 @@ class PreparedSystem:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvalues.shape[0]
 
 
 @dataclass(frozen=True)
 class HHLSolution:
     solution: np.ndarray
     success_probability: float
-    recovered_norm: float
-    fidelity_vs_classical: float | None = None
-    clock_leakage: float = 0.0
+    clock_leakage: float
 
 
-def _choose_scale(
-    eigenvalues: np.ndarray, config: HHLConfig
-) -> tuple[float, bool, str | None]:
+def _choose_scale(eigenvalues: np.ndarray, n_clock: int) -> tuple[float, bool, str | None]:
     """Pick the encoded-units scale s so encoded eigenvalues fit [1, M-1].
 
     Tries integer landings first (strict, then snapped within SNAP_ATOL),
-    then the margin rule s = margin*(M-1)/lambda_max, raising the scale when
-    that would push the smallest eigenvalue below 1. Returns (scale,
-    exact_encoding, warning message or None).
+    then the margin rule s = EIGENVALUE_MARGIN*(M-1)/lambda_max, raising
+    the scale when that would push the smallest eigenvalue below 1.
+    Returns (scale, exact_encoding, warning message or None).
     """
-    m_top = (1 << config.n_clock) - 1
+    m_top = (1 << n_clock) - 1
     lam_min, lam_max = eigenvalues[0], eigenvalues[-1]
-    target = config.eigenvalue_margin * m_top
+    target = EIGENVALUE_MARGIN * m_top
 
     # Candidate scales put lambda_max on the integers floor(target), ..., 1,
     # largest first; one row of ``enc`` per candidate.
@@ -166,7 +153,7 @@ def _choose_scale(
     if ratio <= m_top:
         return 1.0 / lam_min, False, None
     msg = (
-        f"eigenvalue spread {ratio:.3g} exceeds clock range 2^{config.n_clock}-1={m_top}; "
+        f"eigenvalue spread {ratio:.3g} exceeds clock range 2^{n_clock}-1={m_top}; "
         "eigenvalues cannot all be distinctly encoded"
     )
     _warnings.warn(msg, PrecisionWarning, stacklevel=3)
@@ -174,15 +161,17 @@ def _choose_scale(
 
 
 def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> PreparedSystem:
-    """Validate, pad, scale and diagonalize B for the controlled evolution.
+    """Validate, diagonalize, pad and scale B for the controlled evolution.
 
     B must be Hermitian positive definite. The padding block is the
-    identity and never receives amplitude, so the spectrum scaling uses
-    B's own eigenvalues only.
+    identity and never receives amplitude, so the spectrum scaling and C
+    use B's own eigenvalues only: C is the smallest encoded eigenvalue when
+    the encoding is exact, otherwise the smallest clock value that can
+    carry solution weight.
     """
     config = config or HHLConfig()
-    b_matrix = linalg.validate_hermitian(b_matrix, "B")
-    n = b_matrix.shape[0]
+    dec = linalg.hermitian_eigendecomposition(b_matrix, "B")
+    n = dec.eigenvalues.shape[0]
     n_vector = max(1, math.ceil(math.log2(n)))
     layout = sv.RegisterLayout(config.n_clock, n_vector)
     state_bytes = (1 << layout.n_qubits) * np.dtype(complex).itemsize
@@ -192,7 +181,6 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
             f"{state_bytes / 2**20:.6g} MiB, over the {MAX_STATE_BYTES / 2**20:.6g} MiB "
             "limit; use fewer clock qubits"
         )
-    dec = linalg.hermitian_eigendecomposition(b_matrix)
     bad = dec.eigenvalues[dec.eigenvalues <= 0.0]
     if bad.size:
         raise ValueError(
@@ -201,35 +189,21 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
         )
 
     dim = 1 << n_vector
-    padded = np.eye(dim, dtype=complex)
-    padded[:n, :n] = b_matrix
+    padded_eigenvalues = np.ones(dim)
+    padded_eigenvalues[:n] = dec.eigenvalues
+    padded_eigenvectors = np.eye(dim, dtype=complex)
+    padded_eigenvectors[:n, :n] = dec.eigenvectors
 
-    scale, exact, warning = _choose_scale(dec.eigenvalues, config)
-    m_dim = 1 << config.n_clock
-    t = 2.0 * math.pi * scale / m_dim
-
-    pad_dec = linalg.hermitian_eigendecomposition(padded)
-
+    scale, exact, warning = _choose_scale(dec.eigenvalues, config.n_clock)
     encoded = dec.eigenvalues * scale
-    if config.rotation_constant is not None:
-        c = config.rotation_constant
-        if c > encoded[0] + EXACT_ATOL:
-            raise ValueError(
-                f"rotation constant {c:.6g} exceeds smallest encoded eigenvalue "
-                f"{encoded[0]:.6g}"
-            )
-    else:
-        c = float(encoded[0]) if exact else min(1.0, float(encoded[0]))
+    c = float(encoded[0]) if exact else min(1.0, float(encoded[0]))
 
     return PreparedSystem(
-        matrix=b_matrix,
-        padded_matrix=padded,
         layout=layout,
-        config=config,
-        time_step=t,
+        time_step=2.0 * math.pi * scale / layout.clock_dim,
         scale=scale,
-        padded_eigenvalues=pad_dec.eigenvalues,
-        padded_eigenvectors=pad_dec.eigenvectors,
+        padded_eigenvalues=padded_eigenvalues,
+        padded_eigenvectors=padded_eigenvectors,
         eigenvalues=dec.eigenvalues,
         encoded_eigenvalues=encoded,
         rotation_constant=c,
@@ -308,18 +282,12 @@ def clock_leakage(state: sv.StateVector) -> float:
     return float(np.vdot(rest, rest).real)
 
 
-def solve(
-    prepared: PreparedSystem,
-    b: np.ndarray,
-    *,
-    diagnostics: bool = True,
-) -> HHLSolution:
+def solve(prepared: PreparedSystem, b: np.ndarray) -> HHLSolution:
     """Solve B x = b through the full circuit and de-normalize the readout.
 
-    The returned solution satisfies B x ~ b up to the encoding precision;
-    when ``diagnostics`` is set the fidelity against the direct classical
-    solve is attached. The ancilla is post-selected on |1>
-    deterministically, since the simulator holds exact amplitudes.
+    The returned solution satisfies B x ~ b up to the encoding precision.
+    The ancilla is post-selected on |1> deterministically, since the
+    simulator holds exact amplitudes.
     """
     b = np.asarray(b, dtype=complex)
     n = prepared.dimension
@@ -352,17 +320,8 @@ def solve(
     if np.abs(x.imag).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(x).max()):
         x = x.real.copy()
 
-    fidelity = None
-    if diagnostics:
-        x_direct = linalg.solve_direct(prepared.matrix, b)
-        denom = np.linalg.norm(x) * np.linalg.norm(x_direct)
-        if denom > 0.0:
-            fidelity = float(abs(np.vdot(x, x_direct)) / denom)
-
     return HHLSolution(
         solution=x,
         success_probability=float(success_probability),
-        recovered_norm=float(np.linalg.norm(x)),
-        fidelity_vs_classical=fidelity,
         clock_leakage=clock_leakage(state),
     )

@@ -78,13 +78,6 @@ def hermitian_eigendecomposition(a: np.ndarray, name: str = "matrix") -> EigenDe
     return EigenDecomposition(eigenvalues=w, eigenvectors=q)
 
 
-def unitary_exponential(a: np.ndarray, t: float) -> np.ndarray:
-    """exp(i * a * t) for Hermitian ``a`` via eigendecomposition."""
-    dec = hermitian_eigendecomposition(a)
-    q = dec.eigenvectors
-    return (q * np.exp(1j * dec.eigenvalues * t)) @ q.conj().T
-
-
 def cholesky(c: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a real SPD matrix.
 

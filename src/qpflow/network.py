@@ -11,6 +11,7 @@ positive definite for a well-posed case, which the quantum solver requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,17 @@ PQ = "pq"
 _KINDS = (SLACK, PV, PQ)
 
 SYMMETRY_ATOL = 1e-12
+
+_BUS_NUMBERS = ("pd", "qd", "pg", "qg", "vset", "gs", "bs")
+_BRANCH_NUMBERS = ("r", "x", "b", "tap")
+
+
+def _check_finite(record, where: str, names: tuple[str, ...]):
+    """Raise a ValueError naming the first of ``names`` that is NaN or infinite."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: field {name!r} is not finite ({value})")
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,7 @@ class Bus:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"bus {self.id}: unknown kind {self.kind!r}")
+        _check_finite(self, f"bus {self.id}", _BUS_NUMBERS)
         if self.vset <= 0.0:
             raise ValueError(f"bus {self.id}: voltage setpoint must be positive")
 
@@ -56,6 +69,7 @@ class Branch:
     tap: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, f"branch {self.from_bus}-{self.to_bus}", _BRANCH_NUMBERS)
         if self.x == 0.0:
             raise ValueError(f"branch {self.from_bus}-{self.to_bus}: reactance is zero")
         if self.from_bus == self.to_bus:
@@ -180,12 +194,17 @@ class NetworkCase:
 
 @dataclass(frozen=True)
 class FastDecoupledMatrices:
-    """B' over non-slack buses and B'' over PQ buses, with bus-id maps."""
+    """B' over non-slack buses and B'' over PQ buses, with bus-id maps.
+
+    ``ybus`` is the bus admittance matrix B'' was reduced from, kept so a
+    solve needs only one Y-bus build.
+    """
 
     b_prime: np.ndarray
     b_double_prime: np.ndarray
     b_prime_bus_ids: tuple[int, ...]
     b_double_prime_bus_ids: tuple[int, ...]
+    ybus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -231,8 +250,8 @@ def build_b_matrices(case: NetworkCase) -> FastDecoupledMatrices:
     ns = case.non_slack_indices
     pq = case.pq_indices
     b_prime = bp_full[np.ix_(ns, ns)]
-    bpp_full = -build_ybus(case).imag
-    b_double_prime = bpp_full[np.ix_(pq, pq)]
+    ybus = build_ybus(case)
+    b_double_prime = -ybus.imag[np.ix_(pq, pq)]
 
     for mat, label in ((b_prime, "B'"), (b_double_prime, "B''")):
         if mat.size == 0:
@@ -251,6 +270,7 @@ def build_b_matrices(case: NetworkCase) -> FastDecoupledMatrices:
         b_double_prime=b_double_prime,
         b_prime_bus_ids=tuple(case.buses[i].id for i in ns),
         b_double_prime_bus_ids=tuple(case.buses[i].id for i in pq),
+        ybus=ybus,
     )
 
 

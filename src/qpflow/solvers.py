@@ -122,8 +122,9 @@ def _iterate(
     ``step(v, theta, mismatch)`` returns dtheta over the non-slack buses,
     dV over the PQ buses and the HHL success probabilities of the pass, and
     may raise ``np.linalg.LinAlgError`` on a singular Jacobian. ``prepared``
-    holds the HHL systems a quantum step solves with; their warnings and
-    usage counters go into the report.
+    holds the HHL systems a qpf step solves with; their warnings go into
+    the report, and a qpf report also carries the register sizes and
+    usage counters.
     """
     ns = case.non_slack_indices
     pq = case.pq_indices
@@ -160,7 +161,7 @@ def _iterate(
 
     # k is the last iteration run: max_iterations >= 1, so the loop ran
     resource = None
-    if prepared:
+    if method == QPF:
         resource = replace(
             resource_estimate(case, config),
             hhl_invocations=hhl_calls,
@@ -213,7 +214,7 @@ def _direct(matrix: np.ndarray, rhs: np.ndarray):
 
 
 def _hhl(prepared: hhl.PreparedSystem, rhs: np.ndarray):
-    sol = hhl.solve(prepared, rhs, diagnostics=False)
+    sol = hhl.solve(prepared, rhs)
     return np.real(sol.solution), (sol.success_probability,)
 
 
@@ -221,14 +222,15 @@ def solve_qpf(case: NetworkCase, config: SolverConfig | None = None) -> SolveRep
     """Decoupled power flow with both update systems solved by HHL."""
     config = config or SolverConfig(method=QPF)
     mats = network.build_b_matrices(case)
-    # with no PQ bus, B'' and its right-hand side are empty: nothing to solve
-    systems = (
-        hhl.prepare_system(mats.b_prime, config.hhl),
-        hhl.prepare_system(mats.b_double_prime, config.hhl) if mats.b_double_prime.size else None,
+    # B' is empty with only a slack bus, B'' with no PQ bus; so is the
+    # right-hand side, which the step never solves
+    systems = tuple(
+        hhl.prepare_system(mat, config.hhl) if mat.size else None
+        for mat in (mats.b_prime, mats.b_double_prime)
     )
     step = _decoupled_step(case, _hhl, systems)
     prepared = tuple(s for s in systems if s is not None)
-    return _iterate(case, config, QPF, step, network.build_ybus(case), prepared)
+    return _iterate(case, config, QPF, step, mats.ybus, prepared)
 
 
 def solve_fast_decoupled(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:
@@ -236,7 +238,7 @@ def solve_fast_decoupled(case: NetworkCase, config: SolverConfig | None = None) 
     config = config or SolverConfig(method=FAST_DECOUPLED)
     mats = network.build_b_matrices(case)
     step = _decoupled_step(case, _direct, (mats.b_prime, mats.b_double_prime))
-    return _iterate(case, config, FAST_DECOUPLED, step, network.build_ybus(case))
+    return _iterate(case, config, FAST_DECOUPLED, step, mats.ybus)
 
 
 def solve(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:

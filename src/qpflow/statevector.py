@@ -10,6 +10,10 @@ Conventions, fixed package-wide:
   eigenvalue estimate directly, most significant bit first.
 * Operations are functional: they return new StateVector values and never
   mutate their inputs, so states are safe to share across callers.
+* Measurement is post-selection: the simulator holds exact amplitudes, so
+  measure_qubit forces the requested outcome and returns its probability
+  instead of sampling, and extract_register reads the vector register on
+  the slice HHL keeps (clock value 0, ancilla |1>).
 * The clock-register QFT and its inverse are orthonormal FFTs along the
   clock axis, O(M log M) for each vector-and-ancilla column.
 * Gates are 2x2 unitaries on one qubit, applied by reshaping the
@@ -197,58 +201,40 @@ def apply_inverse_qft(state: StateVector) -> StateVector:
 
 
 def measure_qubit(
-    state: StateVector,
-    qubit: int,
-    *,
-    post_select: int | None = None,
-    seed: int | None = None,
+    state: StateVector, qubit: int, *, post_select: int
 ) -> tuple[int, float, StateVector]:
-    """Measure one qubit; returns (outcome, probability, collapsed state).
+    """Post-select one qubit; returns (outcome, probability, collapsed state).
 
-    ``post_select`` forces the outcome deterministically (the default mode
-    for the ancilla). Without it a sample is drawn, reproducibly when a
-    seed is given.
+    The outcome is forced to ``post_select`` rather than sampled, since the
+    simulator holds exact amplitudes; an outcome of (near-)zero probability
+    raises PostSelectionError.
     """
+    if post_select not in (0, 1):
+        raise ValueError("post-selected outcome must be 0 or 1")
     lay = state.layout
     _check_qubit(lay, qubit)
     t = state.amplitudes.reshape(1 << qubit, 2, -1)
     p1 = float(np.sum(np.abs(t[:, 1]) ** 2))
-    probs = (1.0 - p1, p1)
-
-    if post_select is not None:
-        if post_select not in (0, 1):
-            raise ValueError("post-selected outcome must be 0 or 1")
-        outcome = post_select
-        if probs[outcome] <= ZERO_PROBABILITY:
-            raise PostSelectionError(
-                f"post-selected outcome {outcome} on qubit {qubit} has probability "
-                f"{probs[outcome]:.3e}",
-                probability=probs[outcome],
-            )
-    else:
-        rng = np.random.default_rng(seed)
-        outcome = int(rng.random() < p1)
-
+    prob = p1 if post_select else 1.0 - p1
+    if prob <= ZERO_PROBABILITY:
+        raise PostSelectionError(
+            f"post-selected outcome {post_select} on qubit {qubit} has probability "
+            f"{prob:.3e}",
+            probability=prob,
+        )
     collapsed = np.zeros_like(t)
-    collapsed[:, outcome] = t[:, outcome] / math.sqrt(probs[outcome])
-    return outcome, probs[outcome], StateVector(lay, collapsed.reshape(-1))
+    collapsed[:, post_select] = t[:, post_select] / math.sqrt(prob)
+    return post_select, prob, StateVector(lay, collapsed.reshape(-1))
 
 
-def extract_register(
-    state: StateVector, *, clock_value: int = 0, ancilla_value: int = 1
-) -> tuple[np.ndarray, float]:
-    """Vector-register amplitudes with clock and ancilla bits fixed.
+def extract_register(state: StateVector) -> tuple[np.ndarray, float]:
+    """Vector-register amplitudes on clock value 0 with the ancilla at |1>.
 
     Returns the renormalized 2^n_vector amplitudes and the norm of the
     raw slice (the amplitude weight sitting in that slice).
     """
-    t = state.tensor()
-    if not 0 <= clock_value < state.layout.clock_dim:
-        raise ValueError(f"clock value {clock_value} out of range")
-    raw = t[clock_value, :, ancilla_value]
+    raw = state.tensor()[0, :, 1]
     nrm = float(np.linalg.norm(raw))
     if nrm <= math.sqrt(ZERO_PROBABILITY):
-        raise ValueError(
-            f"slice clock={clock_value}, ancilla={ancilla_value} has zero norm ({nrm:.3e})"
-        )
+        raise ValueError(f"slice clock=0, ancilla=1 has zero norm ({nrm:.3e})")
     return raw / nrm, nrm

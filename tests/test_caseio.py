@@ -167,6 +167,22 @@ class TestMatpowerParser:
         with pytest.raises(caseio.CaseError, match=r"mpc.bus row 2, column 3 \(PD\) is not finite"):
             caseio.parse_case(text, caseio.MATPOWER)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("    2 1 10 2", "    2.5 1 10 2", r"mpc.bus row 2, column 1 \(BUS_I\)"),
+            ("    2 1 10 2", "    2 1.5 10 2", r"mpc.bus row 2, column 2 \(BUS_TYPE\)"),
+            ("    1 0 0 300", "    1.25 0 0 300", r"mpc.gen row 1, column 1 \(GEN_BUS\)"),
+            ("    1 2 0.01", "    1.5 2 0.01", r"mpc.branch row 1, column 1 \(F_BUS\)"),
+            ("    1 2 0.01", "    1 2.5 0.01", r"mpc.branch row 1, column 2 \(T_BUS\)"),
+        ],
+        ids=["bus-id", "bus-type", "gen-bus", "from-bus", "to-bus"],
+    )
+    def test_non_integer_id_rejected(self, old, new, message):
+        text = MINIMAL_MATPOWER.replace(old, new, 1)
+        with pytest.raises(caseio.CaseError, match=message + r" is not an integer \(\d\.\d+\)"):
+            caseio.parse_case(text, caseio.MATPOWER)
+
     def test_non_numeric_token_localized(self):
         text = MINIMAL_MATPOWER.replace("1 2 0.01", "1 2 oops")
         with pytest.raises(caseio.CaseError, match="non-numeric"):

@@ -98,6 +98,19 @@ class TestSolve:
         assert out == ""
         assert "buses[2]: field 'id' is not an integer ('three')" in err
 
+    def test_non_integer_matpower_bus_id_exits_2_without_report(self, tmp_path, capsys):
+        text = cases.case_path("five_bus").with_suffix(".m").read_text()
+        path = tmp_path / "edited.m"
+        path.write_text(text.replace("\t2\t2\t20\t", "\t2.5\t2\t20\t", 1))
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "solve", "--case", str(path), "--method", "fd", "--out", str(out_path)
+        )
+        assert code == 2
+        assert not out_path.exists()
+        assert out == ""
+        assert "mpc.bus row 2, column 1 (BUS_I) is not an integer (2.5)" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "--case", FIVE_BUS, "--frobnicate")
         assert code == 2

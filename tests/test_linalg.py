@@ -64,39 +64,6 @@ class TestEigendecomposition:
         assert np.allclose(dec.eigenvalues, [0.5, 1.5], atol=1e-9)
 
 
-class TestUnitaryExponential:
-    def test_zero_generator(self):
-        assert np.allclose(linalg.unitary_exponential(np.zeros((3, 3)), 2.7), np.eye(3))
-
-    def test_identity_at_pi(self):
-        # e^{i pi} = -1 on both eigenvalues
-        u = linalg.unitary_exponential(np.eye(2), math.pi)
-        assert np.abs(u + np.eye(2)).max() < 1e-12
-
-    def test_diagonal_at_pi(self):
-        u = linalg.unitary_exponential(np.diag([1.0, 2.0]), math.pi)
-        assert np.abs(u - np.diag([-1.0, 1.0])).max() < 1e-12
-
-    def test_unitarity_random(self):
-        rng = np.random.default_rng(1)
-        for n in (2, 4, 8):
-            a = random_hermitian(rng, n)
-            u = linalg.unitary_exponential(a, 0.37)
-            assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-10
-
-    def test_group_law(self):
-        rng = np.random.default_rng(2)
-        a = random_hermitian(rng, 5)
-        u1 = linalg.unitary_exponential(a, 0.4)
-        u2 = linalg.unitary_exponential(a, 1.1)
-        u12 = linalg.unitary_exponential(a, 1.5)
-        assert np.abs(u1 @ u2 - u12).max() <= 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.unitary_exponential(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-
-
 class TestCholesky:
     def test_identity(self):
         assert np.allclose(linalg.cholesky(np.eye(4)), np.eye(4))

@@ -58,6 +58,24 @@ class TestCaseValidation:
         with pytest.raises(ValueError, match="reactance is zero"):
             network.Branch(1, 2, 0.01, 0.0)
 
+    @pytest.mark.parametrize("field", ["pd", "qd", "pg", "qg", "vset", "gs", "bs"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bus_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"bus 7: field '{field}' is not finite"):
+            network.Bus(7, "pq", **{field: value})
+
+    @pytest.mark.parametrize("field", ["r", "x", "b", "tap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_branch_field_rejected(self, field, value):
+        values = {"r": 0.01, "x": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"branch 1-2: field '{field}' is not finite"):
+            network.Branch(1, 2, **values)
+
+    def test_non_finite_scheduled_injection_rejected(self):
+        # a non-finite sample fails at once instead of running every iteration
+        with pytest.raises(ValueError, match="bus 5: field 'pd' is not finite"):
+            cases.five_bus().with_scheduled_injection(5, math.nan, 0.0)
+
     def test_unknown_branch_endpoint(self):
         with pytest.raises(ValueError, match="unknown bus 9"):
             network.NetworkCase(
@@ -144,6 +162,14 @@ class TestBMatrices:
         mats = network.build_b_matrices(case)
         assert mats.b_double_prime.shape == (0, 0)
         assert mats.b_double_prime_bus_ids == ()
+
+    @pytest.mark.parametrize("name", cases.NAMES)
+    def test_carries_the_ybus(self, name):
+        case = cases.load(name)
+        mats = network.build_b_matrices(case)
+        assert np.array_equal(mats.ybus, network.build_ybus(case))
+        pq = case.pq_indices
+        assert np.array_equal(mats.b_double_prime, -mats.ybus.imag[np.ix_(pq, pq)])
 
     @pytest.mark.parametrize("name", cases.NAMES)
     def test_bundled_cases_positive_definite(self, name):

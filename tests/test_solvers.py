@@ -37,6 +37,17 @@ class TestTrivialCases:
         assert np.allclose(report.theta, 0.0)
 
     @pytest.mark.parametrize("method", ["qpf", "fd", "nr"])
+    def test_slack_only_case_converges_in_one_iteration(self, method):
+        # B' and B'' are both empty: qpf prepares nothing and solves nothing
+        case = network.NetworkCase("one", 100.0, (network.Bus(1, "slack", vset=1.03),), ())
+        report = solvers.solve(case, solvers.SolverConfig(method=method))
+        assert report.converged
+        assert report.iterations == 1
+        assert report.v.tolist() == [1.03]
+        assert report.theta.tolist() == [0.0]
+        assert report.warnings == ()
+
+    @pytest.mark.parametrize("method", ["qpf", "fd", "nr"])
     def test_solve_dispatches_on_method(self, method):
         report = solvers.solve(cases.five_bus(), solvers.SolverConfig(method=method))
         assert report.converged
@@ -50,6 +61,17 @@ class TestTrivialCases:
             solvers, "solve_fast_decoupled", lambda *a: calls.append(a) or original(*a)
         )
         solvers.solve(zero_load_case())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["qpf", "fd"])
+    def test_one_ybus_build_per_solve(self, method, monkeypatch):
+        # build_b_matrices builds the Y-bus that the loop then reuses
+        calls = []
+        original = network.build_ybus
+        monkeypatch.setattr(
+            network, "build_ybus", lambda case: calls.append(case) or original(case)
+        )
+        solvers.solve(cases.five_bus(), solvers.SolverConfig(method=method))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("method", ["qpf", "fd", "nr"])

@@ -268,12 +268,6 @@ class TestMeasurement:
             _, p0, _ = sv.measure_qubit(state, q, post_select=0)
             assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
-    def test_sampling_reproducible(self):
-        state = sv.init_state(LAYOUT, np.array([1.0, 1.0]) / math.sqrt(2))
-        a = sv.measure_qubit(state, 1, seed=123)
-        b = sv.measure_qubit(state, 1, seed=123)
-        assert a[0] == b[0]
-
 
 class TestExtractRegister:
     def test_clean_slice(self):
