@@ -78,6 +78,8 @@ def _finite(value, field: str, where: str) -> float:
     """``value`` as a float; a non-number, NaN or an infinity is an input error."""
     try:
         x = float(value)
+    except OverflowError:
+        raise CaseError(f"{where}: field {field!r} is not finite (out of float range)") from None
     except (TypeError, ValueError) as exc:
         raise CaseError(f"{where}: field {field!r} is not a number ({value!r})") from exc
     if not math.isfinite(x):
@@ -91,6 +93,14 @@ def _integer(value, field: str, where: str) -> int:
     if isinstance(value, bool) or not whole:
         raise CaseError(f"{where}: field {field!r} is not an integer ({value!r})")
     return int(value)
+
+
+def _build(make, **fields):
+    """``make(**fields)``, with the model's ValueError turned into a CaseError."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise CaseError(str(exc)) from exc
 
 
 # -- native JSON ------------------------------------------------------------
@@ -127,7 +137,8 @@ def _parse_native(text: str) -> CaseDocument:
     for k, rec in enumerate(records("buses")):
         where = f"bus {rec.get('id')}"
         buses.append(
-            Bus(
+            _build(
+                Bus,
                 id=integer(rec, "id", f"buses[{k}]"),
                 kind=str(need(rec, "kind", where)).lower(),
                 pd=number(rec, "pd", 0.0, where),
@@ -143,7 +154,8 @@ def _parse_native(text: str) -> CaseDocument:
     for k, rec in enumerate(records("branches")):
         where = f"branch {rec.get('from')}-{rec.get('to')}"
         branches.append(
-            Branch(
+            _build(
+                Branch,
                 from_bus=integer(rec, "from", f"branches[{k}]"),
                 to_bus=integer(rec, "to", f"branches[{k}]"),
                 r=number(rec, "r", 0.0, where),
@@ -152,15 +164,13 @@ def _parse_native(text: str) -> CaseDocument:
                 tap=number(rec, "tap", 1.0, where),
             )
         )
-    try:
-        case = NetworkCase(
-            name=str(doc.get("name", "case")),
-            base_mva=number(doc, "base_mva", 100.0, "case"),
-            buses=tuple(buses),
-            branches=tuple(branches),
-        )
-    except ValueError as exc:
-        raise CaseError(str(exc)) from exc
+    case = _build(
+        NetworkCase,
+        name=str(doc.get("name", "case")),
+        base_mva=number(doc, "base_mva", 100.0, "case"),
+        buses=tuple(buses),
+        branches=tuple(branches),
+    )
 
     injections: tuple[stochastic.UncertainInjection, ...] = ()
     correlations = None
@@ -360,7 +370,8 @@ def _parse_matpower(text: str) -> CaseDocument:
         qg = sum(g[2] for g in gens) / base
         vset = gens[0][5] if gens else row[7]
         buses.append(
-            Bus(
+            _build(
+                Bus,
                 id=bus_id,
                 kind=kind_map[bus_type],
                 pd=row[2] / base,
@@ -390,7 +401,8 @@ def _parse_matpower(text: str) -> CaseDocument:
             continue
         tap = row[8] if row[8] != 0.0 else 1.0
         branches.append(
-            Branch(
+            _build(
+                Branch,
                 from_bus=int(row[0]),
                 to_bus=int(row[1]),
                 r=row[2],
@@ -400,12 +412,9 @@ def _parse_matpower(text: str) -> CaseDocument:
             )
         )
 
-    try:
-        case = NetworkCase(
-            name=case_name, base_mva=base, buses=tuple(buses), branches=tuple(branches)
-        )
-    except ValueError as exc:
-        raise CaseError(str(exc)) from exc
+    case = _build(
+        NetworkCase, name=case_name, base_mva=base, buses=tuple(buses), branches=tuple(branches)
+    )
     return CaseDocument(case=case)
 
 

@@ -171,6 +171,7 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
     """
     config = config or HHLConfig()
     dec = linalg.hermitian_eigendecomposition(b_matrix, "B")
+    linalg.require_nonempty(dec.eigenvectors, "B")
     n = dec.eigenvalues.shape[0]
     n_vector = max(1, math.ceil(math.log2(n)))
     layout = sv.RegisterLayout(config.n_clock, n_vector)

@@ -3,6 +3,12 @@
 Everything here operates on plain numpy arrays at desk scale (a few dozen
 rows at most). Matrices flagged Hermitian are symmetrized before use so
 downstream consumers can rely on exact conjugate symmetry.
+
+The direct solver is split like the HHL one: prepare_direct checks a
+matrix once (Hermitian, non-empty, not singular to working precision) and
+solve_direct then only checks the right-hand side before its LU solve. The
+fast-decoupled solver prepares B' and B'' once, before its first
+iteration, because they stay constant through a solve.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ def validate_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1.0) if a.size else 1.0
+    if not a.size:
+        return a
+    scale = max(np.abs(a).max(), 1.0)
     dev = np.abs(a - a.conj().T)
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     if dev[i, j] > HERMITIAN_RTOL * scale:
@@ -103,21 +111,48 @@ def cholesky(c: np.ndarray) -> np.ndarray:
     return low
 
 
-def solve_direct(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Solve a x = b for Hermitian ``a`` with an explicit singularity check.
+def require_nonempty(a: np.ndarray, name: str):
+    """Raise a ValueError naming the validated square matrix ``a`` when it is 0x0."""
+    if not a.size:
+        raise ValueError(f"{name} is empty (0x0); there is no system to solve")
+
+
+@dataclass(frozen=True)
+class DirectSystem:
+    """A Hermitian matrix checked once for repeated direct solves.
+
+    ``matrix`` is the symmetrized complex matrix every solve factors.
+    """
+
+    matrix: np.ndarray
+
+
+def prepare_direct(a: np.ndarray, name: str = "matrix") -> DirectSystem:
+    """Check ``a`` once for solve_direct: square, Hermitian, non-empty, non-singular.
+
+    Singular means |lambda_min| < SINGULARITY_RTOL * |lambda_max|, checked
+    with one eigvalsh here and never again per solve.
+    """
+    a = validate_hermitian(a, name)
+    require_nonempty(a, name)
+    w = np.abs(np.linalg.eigvalsh(a))
+    lam_max = w.max()
+    if lam_max == 0.0 or w.min() < SINGULARITY_RTOL * lam_max:
+        raise SingularMatrixError(
+            f"{name} is singular to working precision "
+            f"(|lambda_min|={w.min():.3e}, |lambda_max|={lam_max:.3e})"
+        )
+    return DirectSystem(matrix=a)
+
+
+def solve_direct(system: DirectSystem, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a prepared Hermitian A.
 
     Uses LAPACK LU under the hood, which keeps this oracle numerically
     independent of the eigendecomposition route used elsewhere.
     """
-    a = validate_hermitian(a, name)
     b = np.asarray(b, dtype=complex)
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"right-hand side has length {b.shape}, expected ({a.shape[0]},)")
-    w = np.linalg.eigvalsh(a)
-    lam_max = np.abs(w).max()
-    if lam_max == 0.0 or np.abs(w).min() < SINGULARITY_RTOL * lam_max:
-        raise SingularMatrixError(
-            f"{name} is singular to working precision "
-            f"(|lambda_min|={np.abs(w).min():.3e}, |lambda_max|={lam_max:.3e})"
-        )
-    return np.linalg.solve(a, b)
+    n = system.matrix.shape[0]
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side has length {b.shape}, expected ({n},)")
+    return np.linalg.solve(system.matrix, b)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,11 @@ SYMMETRY_ATOL = 1e-12
 
 _BUS_NUMBERS = ("pd", "qd", "pg", "qg", "vset", "gs", "bs")
 _BRANCH_NUMBERS = ("r", "x", "b", "tap")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_finite(record, where: str, names: tuple[str, ...]):
@@ -145,29 +151,45 @@ class NetworkCase:
     def n_bus(self) -> int:
         return len(self.buses)
 
-    def bus_index(self, bus_id: int) -> int:
-        for i, b in enumerate(self.buses):
-            if b.id == bus_id:
-                return i
-        raise KeyError(f"no bus with id {bus_id}")
+    # The index data below is derived once per case and cached on the
+    # instance; the case is frozen, so it cannot go stale, and the arrays
+    # come back read-only so no caller can corrupt the cache.
 
-    @property
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {b.id: i for i, b in enumerate(self.buses)}
+
+    def bus_index(self, bus_id: int) -> int:
+        try:
+            return self._positions[bus_id]
+        except KeyError:
+            raise KeyError(f"no bus with id {bus_id}") from None
+
+    @cached_property
     def slack_index(self) -> int:
         return next(i for i, b in enumerate(self.buses) if b.kind == SLACK)
 
-    @property
+    @cached_property
     def non_slack_indices(self) -> np.ndarray:
-        return np.array([i for i, b in enumerate(self.buses) if b.kind != SLACK], dtype=int)
+        return _read_only(
+            np.array([i for i, b in enumerate(self.buses) if b.kind != SLACK], dtype=int)
+        )
 
-    @property
+    @cached_property
     def pq_indices(self) -> np.ndarray:
-        return np.array([i for i, b in enumerate(self.buses) if b.kind == PQ], dtype=int)
+        return _read_only(
+            np.array([i for i, b in enumerate(self.buses) if b.kind == PQ], dtype=int)
+        )
 
-    def scheduled_injections(self) -> tuple[np.ndarray, np.ndarray]:
-        """Net scheduled (P, Q) per bus: generation minus load."""
+    @cached_property
+    def _scheduled(self) -> tuple[np.ndarray, np.ndarray]:
         p = np.array([b.pg - b.pd for b in self.buses])
         q = np.array([b.qg - b.qd for b in self.buses])
-        return p, q
+        return _read_only(p), _read_only(q)
+
+    def scheduled_injections(self) -> tuple[np.ndarray, np.ndarray]:
+        """Net scheduled (P, Q) per bus: generation minus load (read-only)."""
+        return self._scheduled
 
     def start_voltages(self) -> tuple[np.ndarray, np.ndarray]:
         """Initial (V, theta): setpoints at slack/PV, flat 1.0 elsewhere."""

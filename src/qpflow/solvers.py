@@ -4,24 +4,27 @@ All three methods run the same loop: start from the setpoint voltages,
 evaluate the mismatch, take the method's update step, apply it,
 re-evaluate, and stop once both mismatch infinity norms fall below the
 tolerance. One iteration is one step, so an already-solved case still
-reports a single iteration. The loop also stops early, with a warning, when
-a voltage magnitude collapses to zero or the step raises
-np.linalg.LinAlgError (Newton's singular Jacobian). A method supplies only
-its step. The decoupled step, shared by qpf and fd, solves
+reports a single iteration. The loop also stops early, with a warning and
+the last finite state, when a voltage magnitude collapses to zero, the
+mismatch stops being finite, or the step raises np.linalg.LinAlgError
+(Newton's singular Jacobian). A method supplies only its step. The
+decoupled step, shared by qpf and fd, solves
 
     B'  (V dtheta) = dP / V        then  dtheta = (V dtheta) / V
     B'' (dV)       = dQ / V
 
 with constant matrices and skips a solve whose right-hand side is exactly
-zero: qpf solves both systems with HHL, prepared once before the first
-iteration, and fd with the direct solver. Newton-Raphson's step solves the
-full polar Jacobian, rebuilt every pass. Non-convergence is a report
-state, never an exception, since stressed studies run deliberately close
-to the solvability boundary.
+zero. Both methods prepare B' and B'' once, before the first iteration:
+qpf builds an HHL system for each, fd checks each once (Hermitian, not
+singular) for the direct solver, and every iteration then only solves.
+Newton-Raphson's step solves the full polar Jacobian, rebuilt every pass.
+Non-convergence is a report state, never an exception, since stressed
+studies run deliberately close to the solvability boundary.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -149,11 +152,14 @@ def _iterate(
         if np.any(v_next <= 0.0):
             warnings.append(f"voltage magnitude collapsed to zero at iteration {k}; stopping")
             break
-        theta = theta.copy()
-        theta[ns] += dtheta
-        v = v_next
+        theta_next = theta.copy()
+        theta_next[ns] += dtheta
 
-        mis = network.compute_mismatch(case, v, theta, ybus)
+        mis_next = network.compute_mismatch(case, v_next, theta_next, ybus)
+        if not (math.isfinite(mis_next.norm_p) and math.isfinite(mis_next.norm_q)):
+            warnings.append(f"mismatch is not finite at iteration {k}; stopping")
+            break
+        v, theta, mis = v_next, theta_next, mis_next
         records.append(IterationRecord(k, v.copy(), theta.copy(), mis.norm_p, mis.norm_q, success))
         if mis.norm_p < config.tolerance and mis.norm_q < config.tolerance:
             converged = True
@@ -209,8 +215,8 @@ def _decoupled_step(case: NetworkCase, solve, systems: tuple):
     return step
 
 
-def _direct(matrix: np.ndarray, rhs: np.ndarray):
-    return linalg.solve_direct(matrix, rhs).real, ()
+def _direct(system: linalg.DirectSystem, rhs: np.ndarray):
+    return linalg.solve_direct(system, rhs).real, ()
 
 
 def _hhl(prepared: hhl.PreparedSystem, rhs: np.ndarray):
@@ -218,27 +224,34 @@ def _hhl(prepared: hhl.PreparedSystem, rhs: np.ndarray):
     return np.real(sol.solution), (sol.success_probability,)
 
 
-def solve_qpf(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:
-    """Decoupled power flow with both update systems solved by HHL."""
-    config = config or SolverConfig(method=QPF)
+def _solve_decoupled(case: NetworkCase, config: SolverConfig, method: str, prepare, solve):
+    """fd and qpf: prepare B' and B'' once, then iterate the decoupled step.
+
+    ``prepare(matrix)`` checks a constant matrix before the first
+    iteration, and ``solve(system, rhs)`` is the step's linear solve.
+    """
     mats = network.build_b_matrices(case)
     # B' is empty with only a slack bus, B'' with no PQ bus; so is the
     # right-hand side, which the step never solves
     systems = tuple(
-        hhl.prepare_system(mat, config.hhl) if mat.size else None
-        for mat in (mats.b_prime, mats.b_double_prime)
+        prepare(mat) if mat.size else None for mat in (mats.b_prime, mats.b_double_prime)
     )
-    step = _decoupled_step(case, _hhl, systems)
-    prepared = tuple(s for s in systems if s is not None)
-    return _iterate(case, config, QPF, step, mats.ybus, prepared)
+    step = _decoupled_step(case, solve, systems)
+    prepared = tuple(s for s in systems if s is not None) if method == QPF else ()
+    return _iterate(case, config, method, step, mats.ybus, prepared)
+
+
+def solve_qpf(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:
+    """Decoupled power flow with both update systems solved by HHL."""
+    config = config or SolverConfig(method=QPF)
+    prepare = functools.partial(hhl.prepare_system, config=config.hhl)
+    return _solve_decoupled(case, config, QPF, prepare, _hhl)
 
 
 def solve_fast_decoupled(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:
     """Classical twin of solve_qpf: same loop, direct linear solves."""
     config = config or SolverConfig(method=FAST_DECOUPLED)
-    mats = network.build_b_matrices(case)
-    step = _decoupled_step(case, _direct, (mats.b_prime, mats.b_double_prime))
-    return _iterate(case, config, FAST_DECOUPLED, step, mats.ybus)
+    return _solve_decoupled(case, config, FAST_DECOUPLED, linalg.prepare_direct, _direct)
 
 
 def solve(case: NetworkCase, config: SolverConfig | None = None) -> SolveReport:

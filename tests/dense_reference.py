@@ -1,7 +1,10 @@
 """Dense-matrix references for the simulator's kernels, shared by the tests.
 
-Everything here builds full 2^n x 2^n operators with np.kron and explicit
-index arithmetic, so it shares no code with qpflow.statevector.
+The simulator references build full 2^n x 2^n operators with np.kron and
+explicit index arithmetic, so they share no code with qpflow.statevector.
+The direct-solve reference checks its matrix on every call, as the fast-
+decoupled solver did before it prepared B' and B'' once per solve; it shares
+no code with qpflow.linalg.
 """
 
 import math
@@ -42,3 +45,26 @@ def kron_operator(
     bits = (np.arange(1 << n)[:, None] // weights) % 2  # bits[i, q] of basis state i
     perm = bits[:, order] @ weights  # index of basis state i in the reordered register
     return op[np.ix_(perm, perm)]
+
+
+def validated_solve_direct(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Solve a x = b, checking ``a`` first on every call.
+
+    The check is the one qpflow.linalg.prepare_direct makes once: Hermitian
+    within 1e-12 of max(1, max|a|), symmetrized, then singular when
+    |lambda_min| < 1e-12 |lambda_max|. The LU solve runs on the same
+    complex symmetrized matrix, so the result is bit-for-bit comparable.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-12 * max(np.abs(a).max(initial=0.0), 1.0):
+        raise ValueError(f"{name} is not Hermitian")
+    a = (a + a.conj().T) / 2
+    b = np.asarray(b, dtype=complex)
+    if b.shape != (a.shape[0],):
+        raise ValueError(f"right-hand side has length {b.shape}, expected ({a.shape[0]},)")
+    w = np.abs(np.linalg.eigvalsh(a))
+    if w.max() == 0.0 or w.min() < 1e-12 * w.max():
+        raise ValueError(f"{name} is singular to working precision")
+    return np.linalg.solve(a, b)

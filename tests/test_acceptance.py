@@ -141,13 +141,14 @@ def test_criterion_4_hhl_fidelity():
     # exactly encodable spectra: eigenvalues {1, 2} on a 2-qubit clock
     mat = np.array([[1.5, 0.5], [0.5, 1.5]])
     prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=2))
+    oracle = linalg.prepare_direct(mat)
     exact_ok = prep.exact_encoding
     worst_exact = 1.0
     worst_leak = 0.0
     for _ in range(5):
         b = rng.standard_normal(2)
         sol = hhl.solve(prep, b)
-        worst_exact = min(worst_exact, _fidelity(sol.solution, linalg.solve_direct(mat, b)))
+        worst_exact = min(worst_exact, _fidelity(sol.solution, linalg.solve_direct(oracle, b)))
         worst_leak = max(worst_leak, sol.clock_leakage)
     exact_ok = exact_ok and worst_exact >= EXACT_FIDELITY and worst_leak <= LEAKAGE_TOL
 
@@ -160,7 +161,7 @@ def test_criterion_4_hhl_fidelity():
             mat = (mat + mat.T) / 2
             b = rng.standard_normal(n)
             solution = hhl.solve(hhl.prepare_system(mat, hhl.HHLConfig(n_clock=6)), b)
-            x_direct = linalg.solve_direct(mat, b)
+            x_direct = linalg.solve_direct(linalg.prepare_direct(mat), b)
             worst_random = min(worst_random, _fidelity(solution.solution, x_direct))
     elapsed = time.perf_counter() - start
     ok = exact_ok and worst_random >= RANDOM_FIDELITY and elapsed < 10.0

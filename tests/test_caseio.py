@@ -109,6 +109,23 @@ class TestNativeParser:
         with pytest.raises(caseio.CaseError, match=message):
             caseio.parse_document(MINIMAL_JSON.replace(old, new, 1))
 
+    def test_out_of_range_integer_rejected(self):
+        with pytest.raises(caseio.CaseError, match="bus 2: field 'pd' is not finite"):
+            caseio.parse_document(MINIMAL_JSON.replace('"pd": 0.1', '"pd": 1' + "0" * 400, 1))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"kind": "pq"', '"kind": "load"', "bus 2: unknown kind 'load'"),
+            ('"kind": "pq"', '"kind": "pq", "vset": -1', "bus 2: voltage setpoint must be"),
+            ('"x": 0.1', '"x": 0', "branch 1-2: reactance is zero"),
+        ],
+        ids=["kind", "vset", "reactance"],
+    )
+    def test_record_error_is_case_error(self, old, new, message):
+        with pytest.raises(caseio.CaseError, match=message):
+            caseio.parse_document(MINIMAL_JSON.replace(old, new, 1))
+
     def test_whole_float_id_accepted(self):
         case = caseio.parse_case(MINIMAL_JSON.replace('"id": 2', '"id": 2.0', 1))
         assert case.buses[1].id == 2

@@ -54,6 +54,21 @@ class TestSolve:
             run(capsys, "solve", "--case", FIVE_BUS, "--method", "qpf", "--out", str(p))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_overflowing_solve_exits_1_with_valid_json(self, tmp_path, capsys):
+        def huge_reactive_load(doc):
+            for bus in doc["buses"]:
+                if bus["kind"] == "pq":
+                    bus["qd"] = -1e300
+
+        def reject(token):
+            raise AssertionError(f"report carries {token}")
+
+        path = edited_five_bus(tmp_path, huge_reactive_load)
+        code, out, _ = run(capsys, "solve", "--case", path, "--method", "fd", "--max-iter", "50")
+        assert code == 1
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["warnings"] == ["mismatch is not finite at iteration 1; stopping"]
+
     def test_missing_case_exits_2(self, capsys):
         code, _, err = run(capsys, "solve", "--case", "/nope/missing.json", "--method", "fd")
         assert code == 2

@@ -101,19 +101,28 @@ class TestCholesky:
             linalg.cholesky(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 
+class TestValidateHermitian:
+    def test_accepts_empty(self):
+        out = linalg.validate_hermitian(np.zeros((0, 0)), "B")
+        assert out.shape == (0, 0)
+
+
 class TestSolveDirect:
+    def solve(self, a, b):
+        return linalg.solve_direct(linalg.prepare_direct(a), b)
+
     def test_identity(self):
-        x = linalg.solve_direct(np.eye(2), np.array([1.0, 0.0]))
+        x = self.solve(np.eye(2), np.array([1.0, 0.0]))
         assert np.allclose(x, [1.0, 0.0])
 
     def test_two_by_two_by_hand(self):
         # inverse of [[1.5, .5], [.5, 1.5]] is [[1.5, -.5], [-.5, 1.5]] / 2
         a = np.array([[1.5, 0.5], [0.5, 1.5]])
-        x = linalg.solve_direct(a, np.array([1.0, 0.0]))
+        x = self.solve(a, np.array([1.0, 0.0]))
         assert np.allclose(x, [0.75, -0.25], atol=1e-12)
 
     def test_diagonal_division(self):
-        x = linalg.solve_direct(np.diag([1.0, 2.0]), np.array([0.0, 1.0]))
+        x = self.solve(np.diag([1.0, 2.0]), np.array([0.0, 1.0]))
         assert np.allclose(x, [0.0, 0.5])
 
     def test_residual_random(self):
@@ -123,13 +132,31 @@ class TestSolveDirect:
             a = (q * rng.uniform(1.0, 5.0, n)) @ q.conj().T
             a = (a + a.conj().T) / 2
             b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x = linalg.solve_direct(a, b)
+            x = self.solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
+    def test_prepared_system_reused(self):
+        a = np.array([[1.5, 0.5], [0.5, 1.5]])
+        system = linalg.prepare_direct(a)
+        for b in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.3, -0.7])):
+            assert np.abs(a @ linalg.solve_direct(system, b) - b).max() <= 1e-12
+
     def test_rejects_singular(self):
-        with pytest.raises(linalg.SingularMatrixError):
-            linalg.solve_direct(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+        with pytest.raises(linalg.SingularMatrixError, match="^matrix is singular"):
+            linalg.prepare_direct(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_singular_message_names_matrix(self):
+        with pytest.raises(linalg.SingularMatrixError, match="^B' is singular"):
+            linalg.prepare_direct(np.diag([1.0, 1e-13]), "B'")
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="B is not Hermitian"):
+            linalg.prepare_direct(np.array([[1.0, 2.0], [0.0, 1.0]]), "B")
+
+    def test_rejects_empty_naming_it(self):
+        with pytest.raises(ValueError, match=r"B'' is empty \(0x0\)"):
+            linalg.prepare_direct(np.zeros((0, 0)), "B''")
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
-            linalg.solve_direct(np.eye(2), np.array([1.0, 0.0, 0.0]))
+            linalg.solve_direct(linalg.prepare_direct(np.eye(2)), np.array([1.0, 0.0, 0.0]))

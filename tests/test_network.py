@@ -85,6 +85,39 @@ class TestCaseValidation:
             )
 
 
+class TestIndexData:
+    def test_index_arrays_read_only(self):
+        case = cases.five_bus()
+        arrays = (case.non_slack_indices, case.pq_indices, *case.scheduled_injections())
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 99
+        # the cache survives the attempts
+        assert case.non_slack_indices.tolist() == [
+            i for i, b in enumerate(case.buses) if b.kind != network.SLACK
+        ]
+
+    def test_bus_index_map(self):
+        case = cases.five_bus()
+        for i, bus in enumerate(case.buses):
+            assert case.bus_index(bus.id) == i
+        assert case.buses[case.slack_index].kind == network.SLACK
+        with pytest.raises(KeyError, match="no bus with id 99"):
+            case.bus_index(99)
+
+    def test_with_scheduled_injection_has_fresh_values(self):
+        case = cases.five_bus()
+        p_before, q_before = (a.copy() for a in case.scheduled_injections())
+        i = case.bus_index(5)
+        changed = case.with_scheduled_injection(5, -0.7, -0.2)
+        p, q = changed.scheduled_injections()
+        assert (p[i], q[i]) == pytest.approx((-0.7, -0.2))
+        assert np.array_equal(np.delete(p, i), np.delete(p_before, i))
+        # the original's cached schedule is untouched
+        p_orig, q_orig = case.scheduled_injections()
+        assert np.array_equal(p_orig, p_before) and np.array_equal(q_orig, q_before)
+
+
 class TestYbus:
     def test_two_bus_reactance_only(self):
         y = network.build_ybus(two_bus())

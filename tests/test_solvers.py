@@ -1,12 +1,14 @@
 """Solver loop tests: trivial cases, oracle agreement, flows, resources."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qpflow import cases, hhl, network, solvers
+from dense_reference import validated_solve_direct
+from qpflow import caseio, cases, hhl, linalg, network, solvers, stochastic
 
 
 def zero_load_case():
@@ -90,6 +92,26 @@ class TestTrivialCases:
         assert any("collapsed" in w for w in report.warnings)
         assert len(report.trace) == report.iterations - 1
 
+    @pytest.mark.parametrize("method", ["fd", "nr"])
+    def test_non_finite_mismatch_stops_with_valid_json(self, method):
+        # a finite case whose first step overflows the mismatch
+        case = cases.five_bus()
+        buses = tuple(replace(b, qd=-1e300) if b.kind == network.PQ else b for b in case.buses)
+        config = solvers.SolverConfig(method=method, max_iterations=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solvers.solve(replace(case, buses=buses), config)
+        assert not report.converged
+        assert report.warnings == ("mismatch is not finite at iteration 1; stopping",)
+        assert report.iterations == 1
+        assert report.trace == ()
+
+        def reject(token):
+            raise AssertionError(f"report carries {token}")
+
+        json.loads(caseio.emit_report(report), parse_constant=reject)
+        v0, theta0 = case.start_voltages()  # the last finite state
+        assert np.array_equal(report.v, v0) and np.array_equal(report.theta, theta0)
+
     def test_singular_jacobian_stops_newton(self):
         # the shunt cancels the branch's dQ/dV at flat start, so J is singular
         case = network.NetworkCase(
@@ -149,6 +171,80 @@ class TestOracleAgreement:
             counts_qpf.append(qpf.iterations)
         assert counts_fd == counts_qpf
         assert counts_fd[0] < counts_fd[1] < counts_fd[2]
+
+
+class TestPreparedDirectPath:
+    """fd prepares B' and B'' once; its reports equal the per-call-validated solve."""
+
+    @staticmethod
+    def reference(monkeypatch):
+        # the old path: hand the raw matrix to a solve that checks it every call
+        monkeypatch.setattr(linalg, "prepare_direct", lambda a: a)
+        monkeypatch.setattr(linalg, "solve_direct", validated_solve_direct)
+
+    @staticmethod
+    def fd_cases():
+        yield from ((name, cases.load(name)) for name in cases.NAMES)
+        for mult in (1.0, 4.6, 6.0):
+            yield f"five_bus x{mult}", stressed_five_bus(mult)
+
+    def test_reports_equal_reference_on_every_case(self, monkeypatch):
+        fast = {name: solvers.solve_fast_decoupled(case) for name, case in self.fd_cases()}
+        self.reference(monkeypatch)
+        for name, case in self.fd_cases():
+            ref = solvers.solve_fast_decoupled(case)
+            got = fast[name]
+            assert (got.converged, got.iterations, got.warnings) == (
+                ref.converged, ref.iterations, ref.warnings,
+            ), name
+            assert np.array_equal(got.v, ref.v) and np.array_equal(got.theta, ref.theta), name
+            for rg, rr in zip(got.trace, ref.trace, strict=True):
+                assert np.array_equal(rg.v, rr.v) and np.array_equal(rg.theta, rr.theta), name
+                assert (rg.norm_p, rg.norm_q) == (rr.norm_p, rr.norm_q), name
+
+    def test_study_byte_identical_to_reference(self, monkeypatch):
+        doc = cases.load_document("five_bus")
+
+        def study():
+            result = stochastic.run_monte_carlo(
+                doc.case, doc.injections, doc.correlations, n=40, seed=5,
+                solver=solvers.SolverConfig(method="fd"),
+            )
+            return caseio.emit_monte_carlo(result)
+
+        fast = study()
+        self.reference(monkeypatch)
+        assert study() == fast
+
+    def test_matrices_checked_once_per_solve(self, monkeypatch):
+        calls = []
+        original = linalg.validate_hermitian
+        monkeypatch.setattr(
+            linalg, "validate_hermitian", lambda *a: calls.append(a) or original(*a)
+        )
+        iterations = []
+        for case in (cases.five_bus(), stressed_five_bus(5.0), cases.chain(16)):
+            calls.clear()
+            report = solvers.solve_fast_decoupled(case)
+            iterations.append(report.iterations)
+            assert len(calls) <= 2
+        assert max(iterations) > 2
+
+    def test_ill_conditioned_b_prime_rejected_before_first_iteration(self, monkeypatch):
+        # B' over buses 2, 3 is [[100 + 1e-13, -1e-13], [-1e-13, 1e-13]]: positive
+        # definite, with lambda_min / lambda_max near 1e-15
+        case = network.NetworkCase(
+            "weak", 100.0,
+            (network.Bus(1, "slack"), network.Bus(2, "pq", pd=0.1), network.Bus(3, "pq")),
+            (network.Branch(1, 2, 0.0, 0.01), network.Branch(2, 3, 0.0, 1e13)),
+        )
+        w = np.linalg.eigvalsh(network.build_b_matrices(case).b_prime)
+        assert 0.0 < w[0] < 1e-12 * w[-1]
+        calls = []
+        monkeypatch.setattr(network, "compute_mismatch", lambda *a: calls.append(a))
+        with pytest.raises(linalg.SingularMatrixError, match="singular to working precision"):
+            solvers.solve_fast_decoupled(case)
+        assert calls == []
 
 
 class TestQuantumBookkeeping:
