@@ -291,9 +291,11 @@ def _parse_matpower(text: str) -> CaseDocument:
     name_match = re.search(r"function\s+mpc\s*=\s*(\w+)", stripped)
     case_name = name_match.group(1) if name_match else "matpower-case"
 
-    def scalar(name: str) -> float | None:
+    def scalar(name: str) -> float:
         m = re.search(rf"mpc\.{name}\s*=\s*([-\d.eE+]+)\s*;", stripped)
-        return float(m.group(1)) if m else None
+        if not m:
+            raise CaseError(f"mpc.{name} not found")
+        return _finite(m.group(1), name, "mpc")
 
     def table(name: str) -> list[list[float]] | None:
         m = re.search(rf"mpc\.{name}\s*=\s*\[(.*?)\];", stripped, flags=re.DOTALL)
@@ -331,8 +333,8 @@ def _parse_matpower(text: str) -> CaseDocument:
         return rows
 
     base = scalar("baseMVA")
-    if base is None:
-        raise CaseError("mpc.baseMVA not found")
+    if base <= 0.0:
+        raise CaseError(f"mpc.baseMVA must be positive ({base})")
     bus_rows = table("bus")
     branch_rows = table("branch")
     if bus_rows is None or branch_rows is None:

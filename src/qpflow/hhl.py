@@ -2,7 +2,8 @@
 
 Pipeline for a Hermitian positive-definite system B x = b:
 
-1. prepare_system: diagonalize B once, pad it with the identity to a
+1. prepare_system: diagonalize B once, check its eigenvalues with
+   linalg.require_positive_definite, pad it with the identity to a
    power-of-two dimension (B (+) I has B's eigenpairs plus (1, e_k) on the
    padding, so the padded eigenbasis is diag(Q, I)), scale the spectrum
    into the clock register's integer range and derive the rotation
@@ -160,18 +161,21 @@ def _choose_scale(eigenvalues: np.ndarray, n_clock: int) -> tuple[float, bool, s
     return s, False, msg
 
 
-def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> PreparedSystem:
-    """Validate, diagonalize, pad and scale B for the controlled evolution.
+def prepare_system(
+    b_matrix: np.ndarray, config: HHLConfig | None = None, name: str = "B"
+) -> PreparedSystem:
+    """Diagonalize, check, pad and scale B for the controlled evolution.
 
-    B must be Hermitian positive definite. The padding block is the
+    B must be Hermitian positive definite; linalg checks that on the one
+    eigh taken here, naming the matrix ``name``. The padding block is the
     identity and never receives amplitude, so the spectrum scaling and C
     use B's own eigenvalues only: C is the smallest encoded eigenvalue when
     the encoding is exact, otherwise the smallest clock value that can
     carry solution weight.
     """
     config = config or HHLConfig()
-    dec = linalg.hermitian_eigendecomposition(b_matrix, "B")
-    linalg.require_nonempty(dec.eigenvectors, "B")
+    dec = linalg.hermitian_eigendecomposition(b_matrix, name)
+    linalg.require_positive_definite(dec.eigenvalues, name)
     n = dec.eigenvalues.shape[0]
     n_vector = max(1, math.ceil(math.log2(n)))
     layout = sv.RegisterLayout(config.n_clock, n_vector)
@@ -181,12 +185,6 @@ def prepare_system(b_matrix: np.ndarray, config: HHLConfig | None = None) -> Pre
             f"n_clock={config.n_clock} needs a {layout.n_qubits}-qubit statevector of "
             f"{state_bytes / 2**20:.6g} MiB, over the {MAX_STATE_BYTES / 2**20:.6g} MiB "
             "limit; use fewer clock qubits"
-        )
-    bad = dec.eigenvalues[dec.eigenvalues <= 0.0]
-    if bad.size:
-        raise ValueError(
-            "B must be positive definite; offending eigenvalue(s): "
-            + ", ".join(f"{v:.6g}" for v in bad)
         )
 
     dim = 1 << n_vector
@@ -294,9 +292,14 @@ def solve(prepared: PreparedSystem, b: np.ndarray) -> HHLSolution:
     n = prepared.dimension
     if b.shape != (n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        raise ValueError("right-hand side is zero")
+    with np.errstate(over="ignore"):
+        b_norm = np.linalg.norm(b)
+    if not 0.0 < b_norm < math.inf:
+        # the sum of squares over- or underflowed: take the norm of b / max|b|
+        peak = np.abs(b).max()
+        if peak == 0.0:
+            raise ValueError("right-hand side is zero")
+        b_norm = peak * np.linalg.norm(b / peak)
 
     lay = prepared.layout
     padded_b = np.zeros(lay.vector_dim, dtype=complex)

@@ -2,13 +2,16 @@
 
 Everything here operates on plain numpy arrays at desk scale (a few dozen
 rows at most). Matrices flagged Hermitian are symmetrized before use so
-downstream consumers can rely on exact conjugate symmetry.
+downstream consumers can rely on exact conjugate symmetry; cholesky uses
+the same test.
 
-The direct solver is split like the HHL one: prepare_direct checks a
-matrix once (Hermitian, non-empty, not singular to working precision) and
-solve_direct then only checks the right-hand side before its LU solve. The
-fast-decoupled solver prepares B' and B'' once, before its first
-iteration, because they stay constant through a solve.
+This module alone decides whether a constant matrix is usable:
+require_positive_definite holds the rule, and both prepares apply it to
+the one spectral decomposition they take. prepare_direct takes eigvalsh,
+and solve_direct then only checks the right-hand side before its LU
+solve; hhl.prepare_system takes eigh, whose eigenpairs it also needs. The
+fast-decoupled solvers prepare B' and B'' once, before the first iteration,
+because they stay constant through a solve.
 """
 
 from __future__ import annotations
@@ -87,16 +90,11 @@ def hermitian_eigendecomposition(a: np.ndarray, name: str = "matrix") -> EigenDe
 
 
 def cholesky(c: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a real SPD matrix.
+    """Lower-triangular Cholesky factor of a real SPD matrix, symmetrized first.
 
     Hand-rolled so a failure can name the offending pivot row.
     """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {c.shape}")
-    scale = max(np.abs(c).max(), 1.0) if c.size else 1.0
-    if np.abs(c - c.T).max(initial=0.0) > HERMITIAN_RTOL * scale:
-        raise ValueError("matrix is not symmetric")
+    c = validate_hermitian(np.asarray(c, dtype=float)).real
     n = c.shape[0]
     low = np.zeros((n, n))
     for k in range(n):
@@ -111,15 +109,30 @@ def cholesky(c: np.ndarray) -> np.ndarray:
     return low
 
 
-def require_nonempty(a: np.ndarray, name: str):
-    """Raise a ValueError naming the validated square matrix ``a`` when it is 0x0."""
-    if not a.size:
+def require_positive_definite(eigenvalues: np.ndarray, name: str):
+    """Raise unless these eigenvalues make the Hermitian matrix ``name`` usable.
+
+    Checked in order: empty, singular to working precision (|lambda_min| <
+    SINGULARITY_RTOL * |lambda_max|, a SingularMatrixError), indefinite.
+    """
+    if not eigenvalues.size:
         raise ValueError(f"{name} is empty (0x0); there is no system to solve")
+    w = np.abs(eigenvalues)
+    lam_max = w.max()
+    if lam_max == 0.0 or w.min() < SINGULARITY_RTOL * lam_max:
+        raise SingularMatrixError(
+            f"{name} is singular to working precision "
+            f"(|lambda_min|={w.min():.3e}, |lambda_max|={lam_max:.3e})"
+        )
+    if eigenvalues.min() < 0.0:
+        raise ValueError(
+            f"{name} is not positive definite (smallest eigenvalue {eigenvalues.min():.3e})"
+        )
 
 
 @dataclass(frozen=True)
 class DirectSystem:
-    """A Hermitian matrix checked once for repeated direct solves.
+    """A Hermitian positive-definite matrix checked once for repeated direct solves.
 
     ``matrix`` is the symmetrized complex matrix every solve factors.
     """
@@ -128,20 +141,12 @@ class DirectSystem:
 
 
 def prepare_direct(a: np.ndarray, name: str = "matrix") -> DirectSystem:
-    """Check ``a`` once for solve_direct: square, Hermitian, non-empty, non-singular.
+    """Check ``a`` once for solve_direct: square, Hermitian, then require_positive_definite.
 
-    Singular means |lambda_min| < SINGULARITY_RTOL * |lambda_max|, checked
-    with one eigvalsh here and never again per solve.
+    The rule runs on one eigvalsh here and never again per solve.
     """
     a = validate_hermitian(a, name)
-    require_nonempty(a, name)
-    w = np.abs(np.linalg.eigvalsh(a))
-    lam_max = w.max()
-    if lam_max == 0.0 or w.min() < SINGULARITY_RTOL * lam_max:
-        raise SingularMatrixError(
-            f"{name} is singular to working precision "
-            f"(|lambda_min|={w.min():.3e}, |lambda_max|={lam_max:.3e})"
-        )
+    require_positive_definite(np.linalg.eigvalsh(a), name)
     return DirectSystem(matrix=a)
 
 

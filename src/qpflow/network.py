@@ -6,7 +6,8 @@ fast-decoupled matrices follow the XB scheme: B' is built from branch
 reactances alone (resistance, charging, shunts and taps ignored) over the
 non-slack buses, and B'' is the negated imaginary part of the full bus
 admittance matrix reduced to the PQ buses. Both come out symmetric
-positive definite for a well-posed case, which the quantum solver requires.
+positive definite for a well-posed case, which linalg checks when a
+solver prepares them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ SLACK = "slack"
 PV = "pv"
 PQ = "pq"
 _KINDS = (SLACK, PV, PQ)
-
-SYMMETRY_ATOL = 1e-12
 
 _BUS_NUMBERS = ("pd", "qd", "pg", "qg", "vset", "gs", "bs")
 _BRANCH_NUMBERS = ("r", "x", "b", "tap")
@@ -257,7 +256,7 @@ def build_ybus(case: NetworkCase) -> np.ndarray:
 
 
 def build_b_matrices(case: NetworkCase) -> FastDecoupledMatrices:
-    """XB fast-decoupled matrices, validated symmetric positive definite."""
+    """XB fast-decoupled matrices, assembled only; linalg checks them when prepared."""
     n = case.n_bus
     bp_full = np.zeros((n, n))
     for br in case.branches:
@@ -274,18 +273,6 @@ def build_b_matrices(case: NetworkCase) -> FastDecoupledMatrices:
     b_prime = bp_full[np.ix_(ns, ns)]
     ybus = build_ybus(case)
     b_double_prime = -ybus.imag[np.ix_(pq, pq)]
-
-    for mat, label in ((b_prime, "B'"), (b_double_prime, "B''")):
-        if mat.size == 0:
-            continue
-        if np.abs(mat - mat.T).max() > SYMMETRY_ATOL * max(1.0, np.abs(mat).max()):
-            raise ValueError(f"{label} came out asymmetric; check branch data")
-        w = np.linalg.eigvalsh(mat)
-        if w[0] <= 0.0:
-            raise ValueError(
-                f"{label} is not positive definite (smallest eigenvalue {w[0]:.3e}); "
-                "inspect the case for islanded PQ buses or pathological shunts"
-            )
 
     return FastDecoupledMatrices(
         b_prime=b_prime,

@@ -14,9 +14,9 @@ decoupled step, shared by qpf and fd, solves
     B'' (dV)       = dQ / V
 
 with constant matrices and skips a solve whose right-hand side is exactly
-zero. Both methods prepare B' and B'' once, before the first iteration:
-qpf builds an HHL system for each, fd checks each once (Hermitian, not
-singular) for the direct solver, and every iteration then only solves.
+zero. Both methods prepare B' and B'' once, before the first iteration,
+with linalg's one rule, so an unusable B' or B'' stops both with the same
+error; qpf builds an HHL system for each, and every iteration only solves.
 Newton-Raphson's step solves the full polar Jacobian, rebuilt every pass.
 Non-convergence is a report state, never an exception, since stressed
 studies run deliberately close to the solvability boundary.
@@ -227,14 +227,15 @@ def _hhl(prepared: hhl.PreparedSystem, rhs: np.ndarray):
 def _solve_decoupled(case: NetworkCase, config: SolverConfig, method: str, prepare, solve):
     """fd and qpf: prepare B' and B'' once, then iterate the decoupled step.
 
-    ``prepare(matrix)`` checks a constant matrix before the first
+    ``prepare(matrix, name=...)`` checks a constant matrix before the first
     iteration, and ``solve(system, rhs)`` is the step's linear solve.
     """
     mats = network.build_b_matrices(case)
     # B' is empty with only a slack bus, B'' with no PQ bus; so is the
     # right-hand side, which the step never solves
     systems = tuple(
-        prepare(mat) if mat.size else None for mat in (mats.b_prime, mats.b_double_prime)
+        prepare(mat, name=name) if mat.size else None
+        for mat, name in ((mats.b_prime, "B'"), (mats.b_double_prime, "B''"))
     )
     step = _decoupled_step(case, solve, systems)
     prepared = tuple(s for s in systems if s is not None) if method == QPF else ()

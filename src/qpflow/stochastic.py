@@ -48,7 +48,7 @@ class CorrelationSpec:
                 raise ValueError(f"correlation {rho} for pair ({i}, {j}) outside [-1, 1]")
 
     def matrix(self, buses: tuple[int, ...]) -> np.ndarray:
-        """Correlation matrix over the given bus order; validated PD."""
+        """Correlation matrix over the given bus order; sample_injections' Cholesky checks it."""
         index = {b: k for k, b in enumerate(buses)}
         corr = np.eye(len(buses))
         for i, j, rho in self.pairs:
@@ -56,7 +56,6 @@ class CorrelationSpec:
                 raise ValueError(f"correlation pair ({i}, {j}) names an unknown injection bus")
             corr[index[i], index[j]] = rho
             corr[index[j], index[i]] = rho
-        linalg.cholesky(corr)  # rejects non-positive-definite specs
         return corr
 
 

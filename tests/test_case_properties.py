@@ -1,12 +1,18 @@
-"""Property tests for the native case parser: bad input fails as CaseError only.
+"""Property tests for both case parsers: bad input fails as CaseError only.
 
-Documents are generated near the schema, with bus and branch fields that
-may hold NaN, infinities, huge numbers, strings, null, booleans or lists;
-optional fields may be missing. Every document must either parse or raise
-CaseError.
+Native documents are generated near the schema, with bus and branch fields
+that may hold NaN, infinities, huge numbers, strings, null, booleans or
+lists; optional fields may be missing. MATPOWER texts are generated near
+the standard column layout, with tokens that may be non-numeric, non-finite
+or out of range, rows that may be cut short or out of service, and a
+baseMVA that may be zero, negative or overflow. Every input must either
+parse or raise CaseError, and a parsed MATPOWER case has a finite positive
+base.
 """
 
 import json
+import math
+import warnings
 
 import pytest
 
@@ -70,3 +76,101 @@ def test_native_document_parses_or_raises_case_error(doc):
         caseio.parse_document(text)
     except caseio.CaseError:
         pass
+
+
+MP_AWKWARD = st.sampled_from(
+    ["NaN", "Inf", "-Inf", "1e400", "-1e400", "1e-400", "2.5", "0", "-1", "oops", "0x10", "1e", "%"]
+)
+
+
+def mp_number(lo, hi):
+    return st.floats(lo, hi).map(lambda x: f"{x:.6g}")
+
+
+def mp_constant(*tokens):
+    return st.sampled_from(tokens)
+
+
+def mp_row(columns):
+    """A table row: mostly valid; one in eight cut short, one in eight with an awkward token."""
+    full = st.tuples(*columns).map(list)
+    cut = full.flatmap(lambda row: st.integers(0, len(row) - 1).map(lambda n: row[:n]))
+    spoilt = st.tuples(full, st.integers(0, len(columns) - 1), MP_AWKWARD).map(
+        lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :]
+    )
+    return st.integers(0, 7).flatmap(lambda k: cut if k == 6 else spoilt if k == 7 else full)
+
+
+MP_BUS_ID = mp_constant("1", "2", "3", "4")
+
+
+def mp_bus(bus_id, bus_type):
+    return mp_row(
+        [
+            bus_id, bus_type,
+            mp_number(-50.0, 200.0), mp_number(-50.0, 100.0),
+            mp_number(-5.0, 5.0), mp_number(-5.0, 50.0),
+            mp_constant("1"), mp_number(0.9, 1.1), mp_constant("0"), mp_constant("230"),
+            mp_constant("1"), mp_constant("1.1"), mp_constant("0.9"),
+        ]
+    )
+
+
+# A slack bus 1 first, then buses of any id and type
+MP_BUSES = st.builds(
+    lambda first, rest: [first] + rest,
+    mp_bus(mp_constant("1"), mp_constant("3")),
+    st.lists(mp_bus(MP_BUS_ID, mp_constant("1", "1", "2", "3")), max_size=3),
+)
+MP_GEN = mp_row(
+    [
+        MP_BUS_ID, mp_number(0.0, 300.0), mp_number(-50.0, 50.0),
+        mp_constant("300"), mp_constant("-300"), mp_number(0.95, 1.1), mp_constant("100"),
+        mp_constant("1", "1", "0"), mp_constant("250"), mp_constant("0"),
+    ]
+)
+MP_BRANCH = mp_row(
+    [
+        MP_BUS_ID, MP_BUS_ID,
+        mp_number(0.0, 0.1), mp_number(-0.5, 0.5), mp_number(0.0, 0.1),
+        mp_constant("250"), mp_constant("250"), mp_constant("250"),
+        mp_constant("0", "0", "1.05", "-1"), mp_constant("0", "0", "0", "15"),
+        mp_constant("1", "1", "0"), mp_constant("-360"), mp_constant("360"),
+    ]
+)
+MP_BASE = st.integers(0, 3).flatmap(
+    lambda k: st.sampled_from(["0", "1e400", "-100", "1e", "-0", "1e-400"]) if k == 3
+    else mp_number(1.0, 1000.0)
+)
+
+
+def mp_table(name, rows):
+    body = "".join("\t" + "\t".join(row) + ";\n" for row in rows)
+    return f"mpc.{name} = [\n{body}];\n"
+
+
+MATPOWER_TEXT = st.builds(
+    lambda base, buses, gens, branches: (
+        "function mpc = generated\n"
+        f"mpc.baseMVA = {base};\n"
+        + mp_table("bus", buses)
+        + mp_table("gen", gens)
+        + mp_table("branch", branches)
+    ),
+    MP_BASE,
+    MP_BUSES,
+    st.lists(MP_GEN, max_size=3),
+    st.lists(MP_BRANCH, max_size=4),
+)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+@hypothesis.given(MATPOWER_TEXT)
+def test_matpower_text_parses_or_raises_case_error(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # ignored columns, out-of-service rows
+        try:
+            doc = caseio.parse_document(text, caseio.MATPOWER)
+        except caseio.CaseError:
+            return
+    assert 0.0 < doc.case.base_mva < math.inf

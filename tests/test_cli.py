@@ -54,7 +54,8 @@ class TestSolve:
             run(capsys, "solve", "--case", FIVE_BUS, "--method", "qpf", "--out", str(p))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_overflowing_solve_exits_1_with_valid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["fd", "nr", "qpf"])
+    def test_overflowing_solve_exits_1_with_valid_json(self, tmp_path, capsys, method):
         def huge_reactive_load(doc):
             for bus in doc["buses"]:
                 if bus["kind"] == "pq":
@@ -64,7 +65,7 @@ class TestSolve:
             raise AssertionError(f"report carries {token}")
 
         path = edited_five_bus(tmp_path, huge_reactive_load)
-        code, out, _ = run(capsys, "solve", "--case", path, "--method", "fd", "--max-iter", "50")
+        code, out, _ = run(capsys, "solve", "--case", path, "--method", method, "--max-iter", "50")
         assert code == 1
         payload = json.loads(out, parse_constant=reject)
         assert payload["warnings"] == ["mismatch is not finite at iteration 1; stopping"]
@@ -125,6 +126,38 @@ class TestSolve:
         assert not out_path.exists()
         assert out == ""
         assert "mpc.bus row 2, column 1 (BUS_I) is not an integer (2.5)" in err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0", "mpc.baseMVA must be positive (0.0)"),
+            ("-100", "mpc.baseMVA must be positive (-100.0)"),
+            ("1e400", "mpc: field 'baseMVA' is not finite (inf)"),
+        ],
+    )
+    def test_bad_matpower_base_exits_2_without_report(self, tmp_path, capsys, value, message):
+        text = cases.case_path("five_bus").with_suffix(".m").read_text()
+        path = tmp_path / "edited.m"
+        path.write_text(text.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {value};", 1))
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "solve", "--case", str(path), "--method", "fd", "--out", str(out_path)
+        )
+        assert code == 2
+        assert not out_path.exists()
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("method", ["fd", "qpf"])
+    def test_indefinite_b_double_prime_exits_2_naming_it(self, tmp_path, capsys, method):
+        path = edited_five_bus(tmp_path, lambda doc: doc["buses"][4].update(bs=50.0))
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "solve", "--case", path, "--method", method, "--out", str(out_path)
+        )
+        assert code == 2
+        assert not out_path.exists()
+        assert "B'' is not positive definite" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "solve", "--case", FIVE_BUS, "--frobnicate")

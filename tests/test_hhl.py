@@ -147,6 +147,15 @@ class TestPrepareSystem:
         with pytest.raises(ValueError, match="positive definite"):
             hhl.prepare_system(np.diag([-1.0, 2.0]))
 
+    def test_rejects_like_the_direct_prepare(self):
+        for bad in (np.diag([-1.0, 2.0]), np.diag([1.0, 1e-13]), np.zeros((0, 0))):
+            with pytest.raises(ValueError) as direct_err:
+                linalg.prepare_direct(bad, "B'")
+            with pytest.raises(ValueError) as hhl_err:
+                hhl.prepare_system(bad, name="B'")
+            assert type(hhl_err.value) is type(direct_err.value)
+            assert str(hhl_err.value) == str(direct_err.value)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hhl.prepare_system(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -391,6 +400,14 @@ class TestSolve:
         sol = hhl.solve(prep, np.array([1.0, 0.0]))
         expected = 0.5 * (1.0 / 1.0) ** 2 + 0.5 * (1.0 / 2.0) ** 2
         assert sol.success_probability == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("magnitude", [1e300, 1e-170])
+    def test_norm_neither_overflows_nor_underflows(self, magnitude):
+        # ||b||^2 is out of float range both ways; the solution is b's scaled copy
+        prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))
+        b = np.array([0.3, -0.7])
+        sol = hhl.solve(prep, b * magnitude)
+        assert np.allclose(sol.solution / magnitude, hhl.solve(prep, b).solution, rtol=1e-12)
 
     def test_recovered_norm(self):
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))

@@ -97,7 +97,7 @@ class TestCholesky:
         assert np.all(np.diag(out) > 0)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian: entries"):
             linalg.cholesky(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 
@@ -156,6 +156,16 @@ class TestSolveDirect:
     def test_rejects_empty_naming_it(self):
         with pytest.raises(ValueError, match=r"B'' is empty \(0x0\)"):
             linalg.prepare_direct(np.zeros((0, 0)), "B''")
+
+    def test_rejects_indefinite_naming_it(self):
+        with pytest.raises(
+            ValueError, match=r"^B'' is not positive definite \(smallest eigenvalue -1.000e\+00\)"
+        ):
+            linalg.prepare_direct(np.diag([-1.0, 2.0]), "B''")
+
+    def test_singular_checked_before_definiteness(self):
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.prepare_direct(np.diag([-1e-13, 1.0]))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length"):

@@ -179,7 +179,7 @@ class TestPreparedDirectPath:
     @staticmethod
     def reference(monkeypatch):
         # the old path: hand the raw matrix to a solve that checks it every call
-        monkeypatch.setattr(linalg, "prepare_direct", lambda a: a)
+        monkeypatch.setattr(linalg, "prepare_direct", lambda a, name: a)
         monkeypatch.setattr(linalg, "solve_direct", validated_solve_direct)
 
     @staticmethod
@@ -230,7 +230,55 @@ class TestPreparedDirectPath:
             assert len(calls) <= 2
         assert max(iterations) > 2
 
-    def test_ill_conditioned_b_prime_rejected_before_first_iteration(self, monkeypatch):
+
+def counting(monkeypatch, module, names):
+    """Count the calls of ``module``'s functions ``names`` for this test."""
+    calls = dict.fromkeys(names, 0)
+    for fn in names:
+        original = getattr(module, fn)
+
+        def wrapper(*args, _fn=fn, _original=original, **kwargs):
+            calls[_fn] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn, wrapper)
+    return calls
+
+
+class TestConstantMatrixRule:
+    """fd and qpf check B' and B'' once, in linalg, with the same rule."""
+
+    DECOUPLED = {"fd": solvers.solve_fast_decoupled, "qpf": solvers.solve_qpf}
+
+    @pytest.mark.filterwarnings("ignore::qpflow.hhl.PrecisionWarning")
+    @pytest.mark.parametrize("name", ["five_bus", "chain_16"])
+    @pytest.mark.parametrize("method, decomposition", [("fd", "eigvalsh"), ("qpf", "eigh")])
+    def test_one_spectral_decomposition_per_matrix(
+        self, monkeypatch, name, method, decomposition
+    ):
+        case = cases.load(name)
+        mats = network.build_b_matrices(case)
+        nonempty = sum(m.size > 0 for m in (mats.b_prime, mats.b_double_prime))
+        calls = counting(monkeypatch, np.linalg, ["eigvalsh", "eigh"])
+        config = solvers.SolverConfig(method=method, max_iterations=3)
+        solvers.solve(case, config)
+        assert calls == {"eigvalsh": 0, "eigh": 0, decomposition: nonempty}
+
+    @pytest.mark.parametrize("method", ["fd", "qpf"])
+    def test_pathological_shunt_rejected(self, method):
+        # B'' = -Im(Y22) = 10 - 20: one negative eigenvalue, well conditioned
+        sick = network.NetworkCase(
+            "sick", 100.0,
+            (network.Bus(1, "slack"), network.Bus(2, "pq", bs=20.0)),
+            (network.Branch(1, 2, 0.0, 0.1),),
+        )
+        with pytest.raises(ValueError) as err:
+            self.DECOUPLED[method](sick)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "B'' is not positive definite (smallest eigenvalue -1.000e+01)"
+
+    @pytest.mark.parametrize("method", ["fd", "qpf"])
+    def test_ill_conditioned_b_prime_rejected_before_first_iteration(self, monkeypatch, method):
         # B' over buses 2, 3 is [[100 + 1e-13, -1e-13], [-1e-13, 1e-13]]: positive
         # definite, with lambda_min / lambda_max near 1e-15
         case = network.NetworkCase(
@@ -242,9 +290,20 @@ class TestPreparedDirectPath:
         assert 0.0 < w[0] < 1e-12 * w[-1]
         calls = []
         monkeypatch.setattr(network, "compute_mismatch", lambda *a: calls.append(a))
-        with pytest.raises(linalg.SingularMatrixError, match="singular to working precision"):
-            solvers.solve_fast_decoupled(case)
+        with pytest.raises(
+            linalg.SingularMatrixError, match="^B' is singular to working precision"
+        ):
+            self.DECOUPLED[method](case)
         assert calls == []
+
+    def test_newton_does_not_prepare(self):
+        # nr solves the full Jacobian: the indefinite B'' above is not its concern
+        sick = network.NetworkCase(
+            "sick", 100.0,
+            (network.Bus(1, "slack"), network.Bus(2, "pq", bs=20.0)),
+            (network.Branch(1, 2, 0.0, 0.1),),
+        )
+        assert solvers.solve_newton(sick).iterations >= 1
 
 
 class TestQuantumBookkeeping:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qpflow import cases, solvers, stochastic
+from qpflow import cases, linalg, solvers, stochastic
 
 
 def two_injections(p_std=0.05, q_std=0.01):
@@ -128,6 +128,18 @@ class TestMonteCarlo:
         assert np.array_equal(a.voltages, b.voltages)
         assert np.array_equal(a.converged, b.converged)
         assert a.voltage_correlation == b.voltage_correlation
+
+    @pytest.mark.parametrize("method", ["fd", "qpf"])
+    def test_one_cholesky_per_study(self, monkeypatch, method):
+        doc = cases.load_document("five_bus")
+        calls = []
+        original = linalg.cholesky
+        monkeypatch.setattr(linalg, "cholesky", lambda c: calls.append(c) or original(c))
+        stochastic.run_monte_carlo(
+            doc.case, doc.injections, doc.correlations, n=20, seed=3,
+            solver=solvers.SolverConfig(method=method),
+        )
+        assert len(calls) == 1
 
     def test_histogram_counts_cover_converged_samples(self):
         doc = cases.load_document("five_bus")
