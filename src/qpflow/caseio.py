@@ -95,12 +95,15 @@ def _integer(value, field: str, where: str) -> int:
     return int(value)
 
 
-def _build(make, **fields):
-    """``make(**fields)``, with the model's ValueError turned into a CaseError."""
+def _build(make, prefix: str = "", **fields):
+    """``make(**fields)``, with the model's ValueError turned into a CaseError.
+
+    ``prefix`` goes in front of the model's message, to name the record.
+    """
     try:
         return make(**fields)
     except ValueError as exc:
-        raise CaseError(str(exc)) from exc
+        raise CaseError(prefix + str(exc)) from exc
 
 
 # -- native JSON ------------------------------------------------------------
@@ -119,11 +122,13 @@ def _parse_native(text: str) -> CaseDocument:
             raise CaseError(f"{where} is missing required field {key!r}")
         return obj[key]
 
-    def records(key):
-        value = need(doc, key, "case")
+    def object_list(value, key):
         if not isinstance(value, list) or not all(isinstance(r, dict) for r in value):
             raise CaseError(f"{key!r} must be a list of objects")
         return value
+
+    def records(key):
+        return object_list(need(doc, key, "case"), key)
 
     def number(rec, key, default, where):
         """A finite float field; ``default=None`` marks it required."""
@@ -178,19 +183,25 @@ def _parse_native(text: str) -> CaseDocument:
         unc = doc["uncertainty"]
         if not isinstance(unc, dict):
             raise CaseError("'uncertainty' must be an object")
+        injection_recs = object_list(unc.get("injections", []), "uncertainty.injections")
+        correlation_recs = object_list(unc.get("correlations", []), "uncertainty.correlations")
         p_sched, q_sched = case.scheduled_injections()
         recs = []
-        for k, rec in enumerate(unc.get("injections", [])):
+        for k, rec in enumerate(injection_recs):
             where = f"uncertainty.injections[{k}]"
             bus_id = integer(rec, "bus", where)
             try:
                 idx = case.bus_index(bus_id)
             except KeyError:
                 raise CaseError(f"{where}: field 'bus' names unknown bus {bus_id}") from None
+            if any(inj.bus == bus_id for inj in recs):
+                raise CaseError(f"{where}: bus {bus_id} already has an uncertain injection")
             p_mean = number(rec, "p_mean", p_sched[idx], where)
             q_mean = number(rec, "q_mean", q_sched[idx], where)
             recs.append(
-                stochastic.UncertainInjection(
+                _build(
+                    stochastic.UncertainInjection,
+                    prefix=f"{where}: ",
                     bus=bus_id,
                     p_mean=p_mean,
                     p_std=number(rec, "p_std", DEFAULT_STD_FRACTION * abs(p_mean), where),
@@ -199,17 +210,24 @@ def _parse_native(text: str) -> CaseDocument:
                 )
             )
         injections = tuple(recs)
+        uncertain = {inj.bus for inj in injections}
         pairs = []
-        for k, rec in enumerate(unc.get("correlations", [])):
+        for k, rec in enumerate(correlation_recs):
             where = f"uncertainty.correlations[{k}]"
-            pairs.append(
-                (
-                    integer(rec, "bus_i", where),
-                    integer(rec, "bus_j", where),
-                    number(rec, "rho", None, where),
-                )
+            pair = (
+                integer(rec, "bus_i", where),
+                integer(rec, "bus_j", where),
+                number(rec, "rho", None, where),
             )
-        correlations = stochastic.CorrelationSpec(pairs=tuple(pairs))
+            for key, bus_id in zip(("bus_i", "bus_j"), pair):
+                if bus_id not in uncertain:
+                    raise CaseError(
+                        f"{where}: field {key!r} names bus {bus_id}, "
+                        "which has no uncertain injection"
+                    )
+            pairs.append(pair)
+        # the spec names a bad pair as correlations[k]
+        correlations = _build(stochastic.CorrelationSpec, prefix="uncertainty.", pairs=tuple(pairs))
     return CaseDocument(case=case, injections=injections, correlations=correlations)
 
 

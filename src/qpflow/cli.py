@@ -69,8 +69,6 @@ def _write(text: str, out: str | None):
 
 def _cmd_solve(args) -> int:
     doc = _load_document(args.case)
-    if args.tol <= 0 or args.max_iter < 1 or args.clock_qubits < 1:
-        raise caseio.CaseError("tolerance, max-iter and clock-qubits must be positive")
     config = solvers.SolverConfig(
         method=args.method,
         tolerance=args.tol,
@@ -111,8 +109,6 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_resources(args) -> int:
     doc = _load_document(args.case)
-    if args.clock_qubits < 1:
-        raise caseio.CaseError("--clock-qubits must be positive")
     config = solvers.SolverConfig(method="qpf", hhl=HHLConfig(n_clock=args.clock_qubits))
     est = solvers.resource_estimate(doc.case, config)
     payload = {"n_clock": est.n_clock, "n_vector": est.n_vector, "qubits_total": est.qubits_total}

@@ -15,9 +15,11 @@ Pipeline for a Hermitian positive-definite system B x = b:
    ||b|| and the scaling factor.
 
 Phase estimation works on the three registers as the paper describes it:
-Hadamards put the clock in a uniform superposition, clock value m then
-carries U^m |b> with U = e^{iBt}, and an inverse QFT on the clock reads out
-the encoded eigenvalue. The controlled evolution sum_m |m><m| (x) U^m is one
+a Hadamard on each clock qubit puts the clock in a uniform superposition,
+clock value m then carries U^m |b> with U = e^{iBt}, and an inverse QFT on
+the clock reads out the encoded eigenvalue. Those Hadamards are the
+circuit's only single-qubit gates, and post-selecting the ancilla on |1>
+its only measurement. The controlled evolution sum_m |m><m| (x) U^m is one
 register-level operation in the eigenbasis Q of the padded matrix: rotate
 the vector register by Q^H, multiply by the phase e^{i lambda_j t m} of
 clock value m and eigenvector j, rotate back by Q. The paper parameterises
@@ -36,7 +38,6 @@ the largest eigenvalue at EIGENVALUE_MARGIN of the top of the clock range.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,10 +57,6 @@ EIGENVALUE_MARGIN = 0.95
 # few copies of the state at once, so a solve stays near 1 GiB; beyond it
 # the clock size is an input error, caught before any state-sized work.
 MAX_STATE_BYTES = 1 << 28
-
-
-class PrecisionWarning(UserWarning):
-    """Spectrum cannot be fully resolved by the configured clock register."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,6 @@ def _choose_scale(eigenvalues: np.ndarray, n_clock: int) -> tuple[float, bool, s
         f"eigenvalue spread {ratio:.3g} exceeds clock range 2^{n_clock}-1={m_top}; "
         "eigenvalues cannot all be distinctly encoded"
     )
-    _warnings.warn(msg, PrecisionWarning, stacklevel=3)
     return s, False, msg
 
 
@@ -171,7 +167,8 @@ def prepare_system(
     identity and never receives amplitude, so the spectrum scaling and C
     use B's own eigenvalues only: C is the smallest encoded eigenvalue when
     the encoding is exact, otherwise the smallest clock value that can
-    carry solution weight.
+    carry solution weight. A spectrum the clock cannot resolve leaves a
+    message naming ``name`` in the returned system's ``warning``.
     """
     config = config or HHLConfig()
     dec = linalg.hermitian_eigendecomposition(b_matrix, name)
@@ -193,7 +190,7 @@ def prepare_system(
     padded_eigenvectors = np.eye(dim, dtype=complex)
     padded_eigenvectors[:n, :n] = dec.eigenvectors
 
-    scale, exact, warning = _choose_scale(dec.eigenvalues, config.n_clock)
+    scale, exact, spread = _choose_scale(dec.eigenvalues, config.n_clock)
     encoded = dec.eigenvalues * scale
     c = float(encoded[0]) if exact else min(1.0, float(encoded[0]))
 
@@ -207,7 +204,7 @@ def prepare_system(
         encoded_eigenvalues=encoded,
         rotation_constant=c,
         exact_encoding=exact,
-        warning=warning,
+        warning=f"{name}: {spread}" if spread else None,
     )
 
 
@@ -230,8 +227,8 @@ def run_qpe(prepared: PreparedSystem, state: sv.StateVector) -> sv.StateVector:
     probs = state.clock_probabilities()
     if 1.0 - probs[0] > sv.NORM_ATOL:
         raise ValueError("clock register must start in |0...0>")
-    for k in prepared.layout.clock_qubits:
-        state = sv.apply_gate(state, sv.hadamard(k))
+    for k in range(prepared.layout.n_clock):
+        state = sv.apply_gate(state, k)
     state = sv.apply_clock_controlled(
         state, prepared.padded_eigenvectors, prepared.clock_phases
     )
@@ -245,8 +242,8 @@ def run_inverse_qpe(prepared: PreparedSystem, state: sv.StateVector) -> sv.State
     state = sv.apply_clock_controlled(
         state, prepared.padded_eigenvectors, prepared.clock_phases.conj()
     )
-    for k in reversed(prepared.layout.clock_qubits):
-        state = sv.apply_gate(state, sv.hadamard(k))
+    for k in reversed(range(prepared.layout.n_clock)):
+        state = sv.apply_gate(state, k)
     return state
 
 
@@ -310,7 +307,7 @@ def solve(prepared: PreparedSystem, b: np.ndarray) -> HHLSolution:
     state = apply_reciprocal_rotation(state, prepared)
     state = run_inverse_qpe(prepared, state)
 
-    _, success_probability, state = sv.measure_qubit(state, lay.ancilla_qubit, post_select=1)
+    success_probability, state = sv.measure_qubit(state)
     vec, slice_norm = sv.extract_register(state)
 
     raw = vec * slice_norm * math.sqrt(success_probability)

@@ -56,8 +56,8 @@ def validate_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     if dev[i, j] > HERMITIAN_RTOL * scale:
         raise ValueError(
-            f"{name} is not Hermitian: entries ({i},{j})={a[i, j]:.6g} and "
-            f"({j},{i})={a[j, i]:.6g} differ by {dev[i, j]:.3e}"
+            f"{name} is not Hermitian: entries ({i},{j})={np.real_if_close(a[i, j]):.6g} and "
+            f"({j},{i})={np.real_if_close(a[j, i]):.6g} differ by {dev[i, j]:.3e}"
         )
     return (a + a.conj().T) / 2
 
@@ -89,19 +89,20 @@ def hermitian_eigendecomposition(a: np.ndarray, name: str = "matrix") -> EigenDe
     return EigenDecomposition(eigenvalues=w, eigenvectors=q)
 
 
-def cholesky(c: np.ndarray) -> np.ndarray:
+def cholesky(c: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower-triangular Cholesky factor of a real SPD matrix, symmetrized first.
 
-    Hand-rolled so a failure can name the offending pivot row.
+    Hand-rolled so a failure can name the offending pivot row; errors name
+    the matrix ``name``.
     """
-    c = validate_hermitian(np.asarray(c, dtype=float)).real
+    c = validate_hermitian(np.asarray(c, dtype=float), name).real
     n = c.shape[0]
     low = np.zeros((n, n))
     for k in range(n):
         pivot = c[k, k] - low[k, :k] @ low[k, :k]
         if pivot <= 0.0:
             raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: pivot {k} is {pivot:.6g}", pivot=k
+                f"{name} is not positive definite: pivot {k} is {pivot:.6g}", pivot=k
             )
         low[k, k] = np.sqrt(pivot)
         if k + 1 < n:

@@ -49,8 +49,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -112,6 +112,10 @@ class SolveReport:
     warnings: tuple[str, ...] = ()
 
 
+# A runaway state overflows numpy arithmetic in the mismatch or the step; the
+# loop's non-finite check is the one report of that, so numpy stays quiet. One
+# errstate per solve, since entering it costs about a third of a five-bus mismatch.
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(
     case: NetworkCase,
     config: SolverConfig,

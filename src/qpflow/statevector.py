@@ -1,4 +1,4 @@
-"""Statevector simulator over a clock / vector / ancilla register layout.
+"""Statevector simulator of the HHL circuit's clock / vector / ancilla registers.
 
 Conventions, fixed package-wide:
 
@@ -10,34 +10,33 @@ Conventions, fixed package-wide:
   eigenvalue estimate directly, most significant bit first.
 * Operations are functional: they return new StateVector values and never
   mutate their inputs, so states are safe to share across callers.
-* Measurement is post-selection: the simulator holds exact amplitudes, so
-  measure_qubit forces the requested outcome and returns its probability
-  instead of sampling, and extract_register reads the vector register on
-  the slice HHL keeps (clock value 0, ancilla |1>).
-* The clock-register QFT and its inverse are orthonormal FFTs along the
-  clock axis, O(M log M) for each vector-and-ancilla column.
-* Gates are 2x2 unitaries on one qubit, applied by reshaping the
-  amplitudes so that the target forms the middle axis. Everything wider
-  is a register-level operation: the clock-controlled evolution
-  sum_m |m><m| (x) U^m runs in U's eigenbasis with one phase per clock
-  value and eigenvector, and the QFT acts on the clock axis as a whole.
+* The circuit has one single-qubit gate, the Hadamard on a clock qubit,
+  applied by reshaping the amplitudes so that the target forms the middle
+  axis. Everything wider is a register-level operation: the
+  clock-controlled evolution sum_m |m><m| (x) U^m runs in U's eigenbasis
+  with one phase per clock value and eigenvector, and the QFT and its
+  inverse are orthonormal FFTs along the clock axis, O(M log M) for each
+  vector-and-ancilla column.
+* The circuit has one measurement, post-selecting the ancilla on |1>. The
+  simulator holds exact amplitudes, so measure_qubit forces that outcome
+  and returns its probability instead of sampling, and extract_register
+  reads the vector register on the slice HHL keeps (clock value 0,
+  ancilla |1>).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 NORM_ATOL = 1e-10
-UNITARY_ATOL = 1e-10
 ZERO_PROBABILITY = 1e-12
 
 
 class PostSelectionError(ValueError):
-    """Post-selected outcome has (near-)zero probability.
+    """The ancilla's post-selected outcome |1> has (near-)zero probability.
 
     Carries the offending probability as ``probability``.
     """
@@ -63,18 +62,6 @@ class RegisterLayout:
         return self.n_clock + self.n_vector + 1
 
     @property
-    def clock_qubits(self) -> range:
-        return range(self.n_clock)
-
-    @property
-    def vector_qubits(self) -> range:
-        return range(self.n_clock, self.n_clock + self.n_vector)
-
-    @property
-    def ancilla_qubit(self) -> int:
-        return self.n_qubits - 1
-
-    @property
     def clock_dim(self) -> int:
         return 1 << self.n_clock
 
@@ -95,38 +82,14 @@ class StateVector:
         lay = self.layout
         return self.amplitudes.reshape(lay.clock_dim, lay.vector_dim, 2)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def clock_probabilities(self) -> np.ndarray:
         """Probability of each clock-register value, length clock_dim."""
         t = self.tensor()
         return np.sum(np.abs(t) ** 2, axis=(1, 2))
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """A single-qubit gate: a 2x2 unitary on one target qubit."""
-
-    target: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"gate matrix is {m.shape}, expected (2, 2)")
-        if np.abs(m.conj().T @ m - np.eye(2)).max() > UNITARY_ATOL:
-            raise ValueError("gate matrix is not unitary")
-        object.__setattr__(self, "matrix", m)
-
-
+# The circuit's one single-qubit gate, the Hadamard on each clock qubit.
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-@functools.lru_cache(maxsize=None)
-def hadamard(target: int) -> GateOp:
-    """The Hadamard gate on ``target``; built and checked once per qubit."""
-    return GateOp(target, _H)
 
 
 def init_state(layout: RegisterLayout, vector_amplitudes: np.ndarray) -> StateVector:
@@ -150,17 +113,15 @@ def init_state(layout: RegisterLayout, vector_amplitudes: np.ndarray) -> StateVe
     return StateVector(layout, amps)
 
 
-def _check_qubit(layout: RegisterLayout, q: int):
-    if not 0 <= q < layout.n_qubits:
-        raise ValueError(f"qubit index {q} out of range for {layout.n_qubits} qubits")
-
-
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one gate; linear in the amplitudes and norm preserving."""
+def apply_gate(state: StateVector, qubit: int) -> StateVector:
+    """Apply the Hadamard to clock qubit ``qubit``; linear and norm preserving."""
     lay = state.layout
-    _check_qubit(lay, gate.target)
-    amps = state.amplitudes.reshape(1 << gate.target, 2, -1)
-    return StateVector(lay, (gate.matrix @ amps).reshape(-1))
+    if not 0 <= qubit < lay.n_clock:
+        raise ValueError(
+            f"qubit {qubit} is out of range for the {lay.n_clock}-qubit clock register"
+        )
+    amps = state.amplitudes.reshape(1 << qubit, 2, -1)
+    return StateVector(lay, (_H @ amps).reshape(-1))
 
 
 def apply_clock_controlled(
@@ -200,31 +161,22 @@ def apply_inverse_qft(state: StateVector) -> StateVector:
     return StateVector(state.layout, np.fft.fft(block, axis=0, norm="ortho").reshape(-1))
 
 
-def measure_qubit(
-    state: StateVector, qubit: int, *, post_select: int
-) -> tuple[int, float, StateVector]:
-    """Post-select one qubit; returns (outcome, probability, collapsed state).
+def measure_qubit(state: StateVector) -> tuple[float, StateVector]:
+    """Post-select the ancilla on |1>; returns (probability, collapsed state).
 
-    The outcome is forced to ``post_select`` rather than sampled, since the
-    simulator holds exact amplitudes; an outcome of (near-)zero probability
-    raises PostSelectionError.
+    The outcome is forced rather than sampled, since the simulator holds
+    exact amplitudes; a (near-)zero probability raises PostSelectionError.
     """
-    if post_select not in (0, 1):
-        raise ValueError("post-selected outcome must be 0 or 1")
-    lay = state.layout
-    _check_qubit(lay, qubit)
-    t = state.amplitudes.reshape(1 << qubit, 2, -1)
-    p1 = float(np.sum(np.abs(t[:, 1]) ** 2))
-    prob = p1 if post_select else 1.0 - p1
+    # the ancilla is the last qubit: the middle axis of (half, 2, 1)
+    t = state.amplitudes.reshape(-1, 2, 1)
+    prob = float(np.sum(np.abs(t[:, 1]) ** 2))
     if prob <= ZERO_PROBABILITY:
         raise PostSelectionError(
-            f"post-selected outcome {post_select} on qubit {qubit} has probability "
-            f"{prob:.3e}",
-            probability=prob,
+            f"post-selected ancilla outcome 1 has probability {prob:.3e}", probability=prob
         )
     collapsed = np.zeros_like(t)
-    collapsed[:, post_select] = t[:, post_select] / math.sqrt(prob)
-    return post_select, prob, StateVector(lay, collapsed.reshape(-1))
+    collapsed[:, 1] = t[:, 1] / math.sqrt(prob)
+    return prob, StateVector(state.layout, collapsed.reshape(-1))
 
 
 def extract_register(state: StateVector) -> tuple[np.ndarray, float]:

@@ -38,14 +38,22 @@ class UncertainInjection:
 
 @dataclass(frozen=True)
 class CorrelationSpec:
-    """Pairwise Pearson coefficients between uncertain injections."""
+    """Pairwise Pearson coefficients, each between two distinct buses and listed once."""
 
     pairs: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
-        for i, j, rho in self.pairs:
+        first: dict[frozenset, int] = {}
+        for k, (i, j, rho) in enumerate(self.pairs):
+            where = f"correlations[{k}]"
             if not -1.0 <= rho <= 1.0:
-                raise ValueError(f"correlation {rho} for pair ({i}, {j}) outside [-1, 1]")
+                raise ValueError(f"{where}: correlation {rho} for pair ({i}, {j}) outside [-1, 1]")
+            if i == j:
+                raise ValueError(f"{where}: pairs bus {i} with itself")
+            key = frozenset((i, j))
+            if key in first:
+                raise ValueError(f"{where}: pair ({i}, {j}) repeats correlations[{first[key]}]")
+            first[key] = k
 
     def matrix(self, buses: tuple[int, ...]) -> np.ndarray:
         """Correlation matrix over the given bus order; sample_injections' Cholesky checks it."""
@@ -116,7 +124,10 @@ def sample_injections(
     buses = tuple(inj.bus for inj in spec)
     if len(set(buses)) != len(buses):
         raise ValueError("each bus may appear once in the injection spec")
-    coloring = linalg.cholesky(corr.matrix(buses))
+    try:
+        coloring = linalg.cholesky(corr.matrix(buses), "correlation matrix")
+    except linalg.NotPositiveDefiniteError as exc:
+        raise linalg.NotPositiveDefiniteError(f"{exc} (bus {buses[exc.pivot]})", exc.pivot) from None
 
     k = len(spec)
     p = np.empty((n, k))

@@ -6,7 +6,6 @@ criteria, not tuning knobs.
 """
 
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -109,11 +108,9 @@ def test_criterion_3_clock_register_sensitivity():
     )
     ok4 = qpf4.converged and qpf4.iterations == fd.iterations and dev4 <= TRACE_TOL
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", hhl.PrecisionWarning)
-        qpf2 = solvers.solve_qpf(
-            case, solvers.SolverConfig(method="qpf", hhl=hhl.HHLConfig(n_clock=2))
-        )
+    qpf2 = solvers.solve_qpf(
+        case, solvers.SolverConfig(method="qpf", hhl=hhl.HHLConfig(n_clock=2))
+    )
     dev2 = max(
         max(np.abs(rq.v - rf.v).max(), np.abs(rq.theta - rf.theta).max())
         for rq, rf in zip(qpf2.trace, fd.trace)
@@ -250,8 +247,8 @@ def test_criterion_8_property_suites():
     state = sv.StateVector(sv.RegisterLayout(3, 2), None)
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     state = sv.StateVector(state.layout, amps / np.linalg.norm(amps))
-    after = sv.apply_gate(state, sv.hadamard(2))
-    checks["gate norm preservation"] = abs(after.norm() - 1.0) <= 1e-10
+    after = sv.apply_gate(state, 2)
+    checks["gate norm preservation"] = abs(np.linalg.norm(after.amplitudes) - 1.0) <= 1e-10
 
     round_trip = sv.apply_inverse_qft(sv.apply_qft(state))
     checks["qft inverse identity"] = np.abs(round_trip.amplitudes - state.amplitudes).max() <= 1e-10

@@ -7,7 +7,10 @@ the standard column layout, with tokens that may be non-numeric, non-finite
 or out of range, rows that may be cut short or out of service, and a
 baseMVA that may be zero, negative or overflow. Every input must either
 parse or raise CaseError, and a parsed MATPOWER case has a finite positive
-base.
+base. five_bus documents get uncertainty blocks with self-pairs, repeated
+pairs, out-of-range correlations, negative deviations, unknown buses and
+fields that are not lists of objects; one that parses has a symmetric
+correlation matrix with a unit diagonal that lists each pair once.
 """
 
 import json
@@ -19,7 +22,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from qpflow import caseio  # noqa: E402
+from qpflow import caseio, cases  # noqa: E402
 
 AWKWARD = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324]),
@@ -174,3 +177,51 @@ def test_matpower_text_parses_or_raises_case_error(text):
         except caseio.CaseError:
             return
     assert 0.0 < doc.case.base_mva < math.inf
+
+
+FIVE_BUS = json.loads(cases.case_path("five_bus").read_text())
+# five_bus has PQ buses 3, 4 and 5; 1 is the slack, 2 a PV bus, 6 unknown
+UNC_BUS = st.integers(min_value=1, max_value=6)
+INJECTION = record(
+    {"bus": UNC_BUS},
+    {
+        "p_mean": st.floats(-1.0, 1.0),
+        "p_std": st.floats(-0.1, 0.2),
+        "q_mean": st.floats(-1.0, 1.0),
+        "q_std": st.floats(-0.1, 0.2),
+    },
+)
+CORRELATION = record(
+    {"bus_i": UNC_BUS, "bus_j": UNC_BUS, "rho": st.floats(-1.5, 1.5)}, {}
+)
+NOT_A_LIST = st.sampled_from(["x", 3, {}, None, [1], ["x"]])
+UNCERTAINTY = st.fixed_dictionaries(
+    {},
+    optional={
+        "injections": st.one_of(st.lists(INJECTION, max_size=4), NOT_A_LIST),
+        "correlations": st.one_of(st.lists(CORRELATION, max_size=5), NOT_A_LIST),
+    },
+)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+@hypothesis.given(UNCERTAINTY)
+def test_uncertainty_block_parses_or_raises_case_error(unc):
+    text = json.dumps({**FIVE_BUS, "uncertainty": unc})
+    try:
+        doc = caseio.parse_document(text)
+    except caseio.CaseError:
+        return
+    if not doc.injections:
+        return
+    buses = tuple(inj.bus for inj in doc.injections)
+    assert len(set(buses)) == len(buses)
+    assert all(inj.p_std >= 0.0 and inj.q_std >= 0.0 for inj in doc.injections)
+    pairs = doc.correlations.pairs
+    assert len({frozenset((i, j)) for i, j, _ in pairs}) == len(pairs)
+    corr = doc.correlations.matrix(buses)
+    assert (corr == corr.T).all()
+    assert (corr.diagonal() == 1.0).all()
+    for i, j, rho in pairs:
+        assert i != j and -1.0 <= rho <= 1.0
+        assert corr[buses.index(i), buses.index(j)] == rho

@@ -54,6 +54,8 @@ class TestSolve:
             run(capsys, "solve", "--case", FIVE_BUS, "--method", "qpf", "--out", str(p))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    # numpy's overflow warning would be a second report of the event
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["fd", "nr", "qpf"])
     def test_overflowing_solve_exits_1_with_valid_json(self, tmp_path, capsys, method):
         def huge_reactive_load(doc):
@@ -65,10 +67,36 @@ class TestSolve:
             raise AssertionError(f"report carries {token}")
 
         path = edited_five_bus(tmp_path, huge_reactive_load)
-        code, out, _ = run(capsys, "solve", "--case", path, "--method", method, "--max-iter", "50")
+        code, out, err = run(
+            capsys, "solve", "--case", path, "--method", method, "--max-iter", "50"
+        )
         assert code == 1
+        assert err == ""
         payload = json.loads(out, parse_constant=reject)
         assert payload["warnings"] == ["mismatch is not finite at iteration 1; stopping"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_unresolved_spectrum_reported_once_per_matrix(self, capsys):
+        path = str(cases.case_path("chain_16"))
+        code, out, err = run(capsys, "solve", "--case", path, "--method", "qpf")
+        assert code == 1
+        assert err == ""
+        found = json.loads(out)["warnings"]
+        assert [w.split(": ")[0] for w in found] == ["B'", "B''"]
+        assert all("cannot all be distinctly encoded" in w for w in found)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["solve", "montecarlo"])
+    def test_bad_tolerance_exits_2_without_report(self, tmp_path, capsys, command, tol):
+        extra = ["--method", "fd"] if command == "solve" else ["--samples", "5", "--seed", "1"]
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, command, "--case", FIVE_BUS, *extra, f"--tol={tol}", "--out", str(out_path)
+        )
+        assert code == 2
+        assert not out_path.exists()
+        assert out == ""
+        assert "tolerance must be finite and positive" in err
 
     def test_missing_case_exits_2(self, capsys):
         code, _, err = run(capsys, "solve", "--case", "/nope/missing.json", "--method", "fd")
@@ -222,6 +250,74 @@ class TestMonteCarlo:
         assert code == 2
         assert out == ""
         assert "uncertainty.correlations[0] is missing required field 'bus_j'" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda unc: unc["correlations"][0].update(rho=1.5),
+                r"uncertainty.correlations[0]: correlation 1.5 for pair (3, 4) outside [-1, 1]",
+            ),
+            (
+                lambda unc: unc["injections"][1].update(p_std=-0.1),
+                "uncertainty.injections[1]: bus 4: standard deviations must be non-negative",
+            ),
+            (
+                lambda unc: unc["correlations"].append({"bus_i": 3, "bus_j": 3, "rho": 0.25}),
+                "uncertainty.correlations[1]: pairs bus 3 with itself",
+            ),
+            (
+                lambda unc: unc["correlations"].append({"bus_i": 4, "bus_j": 3, "rho": -0.5}),
+                "uncertainty.correlations[1]: pair (4, 3) repeats correlations[0]",
+            ),
+            (
+                lambda unc: unc["correlations"].append({"bus_i": 3, "bus_j": 5, "rho": 0.5}),
+                "uncertainty.correlations[1]: field 'bus_j' names bus 5, "
+                "which has no uncertain injection",
+            ),
+            (
+                lambda unc: unc["injections"].append({"bus": 3}),
+                "uncertainty.injections[2]: bus 3 already has an uncertain injection",
+            ),
+            (
+                lambda unc: unc.update(
+                    injections=unc["injections"] + [{"bus": 5, "p_std": 0.05}],
+                    correlations=[
+                        {"bus_i": 3, "bus_j": 4, "rho": 0.999},
+                        {"bus_i": 4, "bus_j": 5, "rho": 0.999},
+                        {"bus_i": 3, "bus_j": 5, "rho": -0.999},
+                    ],
+                ),
+                "correlation matrix is not positive definite: pivot 2 is",
+            ),
+            (
+                lambda unc: unc.update(injections="x"),
+                "'uncertainty.injections' must be a list of objects",
+            ),
+            (
+                lambda unc: unc.update(correlations=[1, 2]),
+                "'uncertainty.correlations' must be a list of objects",
+            ),
+        ],
+        ids=[
+            "rho", "negative-std", "self-pair", "repeated-pair", "unsampled-bus",
+            "repeated-injection", "not-positive-definite", "injections-not-list",
+            "correlations-not-objects",
+        ],
+    )
+    def test_bad_uncertainty_block_exits_2_naming_it(self, tmp_path, capsys, edit, message):
+        path = edited_five_bus(tmp_path, lambda doc: edit(doc["uncertainty"]))
+        out_path = tmp_path / "study.json"
+        code, out, err = run(
+            capsys, "montecarlo", "--case", path, "--samples", "5", "--seed", "1",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert not out_path.exists()
+        assert out == ""
+        assert message in err
+        if "positive definite" in message:
+            assert err.rstrip().endswith("(bus 5)")
 
     def test_case_without_uncertainty_exits_2(self, capsys):
         path = str(cases.case_path("two_bus"))

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -85,7 +84,7 @@ def dense_hhl_operators(prep, mat):
     """
     lay = prep.layout
     n, nc, m_dim = lay.n_qubits, lay.n_clock, lay.clock_dim
-    targets = tuple(lay.vector_qubits)
+    targets = tuple(range(nc, nc + lay.n_vector))
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     u = evolution(prep, mat)
     qpe = [kron_operator(n, (k,), had) for k in range(nc)]
@@ -185,9 +184,7 @@ class TestPrepareSystem:
         for mat in (mats.b_prime, mats.b_double_prime):
             if not mat.size:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", hhl.PrecisionWarning)
-                prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=6))
+            prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=6))
             q = prep.padded_eigenvectors
             u = evolution(prep, mat)
             for m in (0, 1, 2, 5, 17, 63):
@@ -204,9 +201,11 @@ class TestPrepareSystem:
 
     def test_wide_spectrum_warns(self):
         b = np.diag([1.0, 100.0])
-        with pytest.warns(hhl.PrecisionWarning, match="cannot all be distinctly encoded"):
-            prep = hhl.prepare_system(b, hhl.HHLConfig(n_clock=3))
-        assert prep.warning is not None
+        prep = hhl.prepare_system(b, hhl.HHLConfig(n_clock=3), name="B''")
+        assert prep.warning == (
+            "B'': eigenvalue spread 100 exceeds clock range 2^3-1=7; "
+            "eigenvalues cannot all be distinctly encoded"
+        )
 
     def test_encoded_eigenvalue_relation(self):
         # encoded value must equal lambda * t * 2^n_clock / (2 pi)
@@ -220,9 +219,7 @@ class TestPrepareSystem:
     def test_scale_search_matches_loop_on_bundled_cases(self):
         for label, eigenvalues in bundled_spectra():
             for n_clock in range(2, 11):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", hhl.PrecisionWarning)
-                    got = hhl._choose_scale(eigenvalues, n_clock)
+                got = hhl._choose_scale(eigenvalues, n_clock)
                 assert got == choose_scale_loop(eigenvalues, n_clock), (label, n_clock)
 
     def test_scale_search_matches_loop_on_random_spectra(self):
@@ -237,9 +234,7 @@ class TestPrepareSystem:
                 lam = rng.uniform(0.05, 1.0, n) ** rng.uniform(1.0, 4.0) * rng.uniform(0.1, 50.0)
             eigenvalues = np.sort(lam)
             n_clock = int(rng.integers(1, 11))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", hhl.PrecisionWarning)
-                got = hhl._choose_scale(eigenvalues, n_clock)
+            got = hhl._choose_scale(eigenvalues, n_clock)
             assert got == choose_scale_loop(eigenvalues, n_clock), (eigenvalues, n_clock)
             outcomes.add((got[1], got[2] is not None))
         # exact landing, snapped or margin rule, and the spread warning all occur
@@ -470,9 +465,7 @@ class TestSolve:
             if not mat.size:
                 continue
             n_vector = max(1, math.ceil(math.log2(mat.shape[0])))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", hhl.PrecisionWarning)
-                prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=9 - n_vector))
+            prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=9 - n_vector))
             assert prep.layout.n_qubits == 10
             rhs = np.vstack([rng.standard_normal((3, prep.dimension)), np.linalg.eigh(mat)[1].T])
             xs, successes, leakages = dense_hhl(prep, dense_hhl_operators(prep, mat), rhs)

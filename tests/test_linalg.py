@@ -99,6 +99,12 @@ class TestCholesky:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="^matrix is not Hermitian: entries"):
             linalg.cholesky(np.array([[1.0, 0.2], [0.3, 1.0]]))
+        # a real matrix's entries print as reals, under the name given
+        with pytest.raises(
+            ValueError,
+            match=r"^correlation matrix is not Hermitian: entries \(0,1\)=0.2 and \(1,0\)=0.3 ",
+        ):
+            linalg.cholesky(np.array([[1.0, 0.2], [0.3, 1.0]]), "correlation matrix")
 
 
 class TestValidateHermitian:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,12 @@ def stressed_five_bus(mult):
     i = case.bus_index(5)  # bus 5 carries the largest load
     bus = replace(case.buses[i], pd=case.buses[i].pd * mult, qd=case.buses[i].qd * mult)
     return replace(case, buses=case.buses[:i] + (bus,) + case.buses[i + 1 :])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_requires_finite_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        solvers.SolverConfig(tolerance=tol)
 
 
 class TestTrivialCases:
@@ -250,7 +257,6 @@ class TestConstantMatrixRule:
 
     DECOUPLED = {"fd": solvers.solve_fast_decoupled, "qpf": solvers.solve_qpf}
 
-    @pytest.mark.filterwarnings("ignore::qpflow.hhl.PrecisionWarning")
     @pytest.mark.parametrize("name", ["five_bus", "chain_16"])
     @pytest.mark.parametrize("method, decomposition", [("fd", "eigvalsh"), ("qpf", "eigh")])
     def test_one_spectral_decomposition_per_matrix(
@@ -321,10 +327,13 @@ class TestQuantumBookkeeping:
                 assert 0.0 < p <= 1.0
 
     def test_precision_warning_propagates(self):
+        # reported once, in the report, naming each matrix; never as a Python warning
         config = solvers.SolverConfig(method="qpf", hhl=hhl.HHLConfig(n_clock=2))
-        with pytest.warns(hhl.PrecisionWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = solvers.solve_qpf(cases.five_bus(), config)
-        assert any("cannot all be distinctly encoded" in w for w in report.warnings)
+        assert [w.split(": ")[0] for w in report.warnings] == ["B'", "B''"]
+        assert all("cannot all be distinctly encoded" in w for w in report.warnings)
 
     def test_pv_only_case_skips_magnitude_system(self):
         case = network.NetworkCase(

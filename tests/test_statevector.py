@@ -1,4 +1,4 @@
-"""Simulator tests: gate semantics, QFT, measurement, register extraction."""
+"""Simulator tests: the clock Hadamard, QFT, post-selection, register extraction."""
 
 import math
 
@@ -22,28 +22,11 @@ def random_unitary(rng, dim):
     return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
 
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+def norm(state):
+    return np.linalg.norm(state.amplitudes)
 
 
-def _ry(angle):
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]])
-
-
-def _phase(angle):
-    return np.diag([1.0, np.exp(1j * angle)])
-
-
-# Gates on a 7-qubit register (3 clock, 3 vector, 1 ancilla).
-GATE_CASES = [
-    pytest.param(sv.hadamard(0), id="hadamard-first"),
-    pytest.param(sv.hadamard(3), id="hadamard-middle"),
-    pytest.param(sv.hadamard(6), id="hadamard-last"),
-    pytest.param(sv.GateOp(4, _X), id="pauli_x"),
-    pytest.param(sv.GateOp(2, _phase(0.7)), id="phase"),
-    pytest.param(sv.GateOp(5, _ry(0.9)), id="ry"),
-    pytest.param(sv.GateOp(1, random_unitary(np.random.default_rng(42), 2)), id="unitary"),
-]
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def clock_state(layout, clock_value, psi):
@@ -63,9 +46,8 @@ class TestLayout:
     def test_counts(self):
         lay = sv.RegisterLayout(4, 2)
         assert lay.n_qubits == 7
-        assert list(lay.clock_qubits) == [0, 1, 2, 3]
-        assert list(lay.vector_qubits) == [4, 5]
-        assert lay.ancilla_qubit == 6
+        assert (lay.clock_dim, lay.vector_dim) == (16, 4)
+        assert sv.StateVector(lay, np.zeros(1 << 7)).tensor().shape == (16, 4, 2)
 
 
 class TestInitState:
@@ -97,52 +79,41 @@ class TestInitState:
 class TestGates:
     def test_hadamard_from_zero(self):
         state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
-        out = sv.apply_gate(state, sv.hadamard(1))
+        out = sv.apply_gate(state, 0)
         t = out.tensor()
         assert t[0, 0, 0] == pytest.approx(1 / math.sqrt(2))
-        assert t[0, 1, 0] == pytest.approx(1 / math.sqrt(2))
+        assert t[1, 0, 0] == pytest.approx(1 / math.sqrt(2))
 
-    def test_pauli_x(self):
-        state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
-        out = sv.apply_gate(state, sv.GateOp(1, _X))
-        assert out.tensor()[0, 1, 0] == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("gate", GATE_CASES)
-    def test_matches_kron_operator(self, gate):
+    # the first, middle and last clock qubit of a (3, 3) layout
+    @pytest.mark.parametrize(
+        "qubit", [0, 1, 2], ids=["hadamard-first", "hadamard-middle", "hadamard-last"]
+    )
+    def test_matches_kron_operator(self, qubit):
         rng = np.random.default_rng(43)
         lay = sv.RegisterLayout(3, 3)
-        dense = kron_operator(lay.n_qubits, (gate.target,), gate.matrix)
+        dense = kron_operator(lay.n_qubits, (qubit,), HADAMARD)
         for _ in range(3):
             state = random_state(rng, lay)
-            out = sv.apply_gate(state, gate)
+            out = sv.apply_gate(state, qubit)
             assert np.abs(out.amplitudes - dense @ state.amplitudes).max() < 1e-12
 
     def test_rejects_out_of_range(self):
+        # only the one clock qubit of LAYOUT takes a Hadamard
         state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="out of range"):
-            sv.apply_gate(state, sv.hadamard(7))
-
-    def test_rejects_non_unitary_block(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            sv.GateOp(0, np.array([[1.0, 0.0], [1.0, 1.0]]))
+        for qubit in (-1, 1, 2):
+            with pytest.raises(ValueError, match="out of range for the 1-qubit clock register"):
+                sv.apply_gate(state, qubit)
 
     def test_norm_preserved_random_gates(self):
         rng = np.random.default_rng(7)
         lay = sv.RegisterLayout(2, 2)
         state = random_state(rng, lay)
-        gates = [
-            sv.hadamard(0),
-            sv.GateOp(3, _X),
-            sv.GateOp(2, _phase(0.7)),
-            sv.GateOp(4, _ry(0.9)),
-            sv.GateOp(1, random_unitary(rng, 2)),
-        ]
-        for gate in gates:
-            state = sv.apply_gate(state, gate)
-            assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        for qubit in (0, 1, 0):
+            state = sv.apply_gate(state, qubit)
+            assert norm(state) == pytest.approx(1.0, abs=1e-10)
         q = random_unitary(rng, lay.vector_dim)
         state = sv.apply_clock_controlled(state, q, evolution_phases(lay, [0.3, -1.1, 2.0, 0.7]))
-        assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert norm(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_gate_linearity(self):
         rng = np.random.default_rng(8)
@@ -151,11 +122,11 @@ class TestGates:
         s2 = random_state(rng, lay)
         alpha, beta = 0.3 - 0.2j, 0.8 + 0.1j
         mix = sv.StateVector(lay, alpha * s1.amplitudes + beta * s2.amplitudes)
-        for gate in (sv.hadamard(1), sv.GateOp(3, _ry(0.4)), sv.GateOp(0, random_unitary(rng, 2))):
-            lhs = sv.apply_gate(mix, gate).amplitudes
+        for qubit in (0, 1):
+            lhs = sv.apply_gate(mix, qubit).amplitudes
             rhs = (
-                alpha * sv.apply_gate(s1, gate).amplitudes
-                + beta * sv.apply_gate(s2, gate).amplitudes
+                alpha * sv.apply_gate(s1, qubit).amplitudes
+                + beta * sv.apply_gate(s2, qubit).amplitudes
             )
             assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -182,7 +153,7 @@ class TestGates:
         lay = sv.RegisterLayout(1, 1)
         minus = np.array([1.0, -1.0]) / math.sqrt(2)
         state = sv.init_state(lay, minus)
-        state = sv.apply_gate(state, sv.hadamard(0))
+        state = sv.apply_gate(state, 0)
         out = sv.apply_clock_controlled(state, np.eye(2), evolution_phases(lay, [0.0, math.pi]))
         t = out.tensor()
         # control |1> branch got vector phases (1, e^{i pi}): |-> -> |+>
@@ -197,9 +168,10 @@ class TestGates:
         eigenphases = rng.uniform(-math.pi, math.pi, lay.vector_dim)
         u = (q * np.exp(1j * eigenphases)) @ q.conj().T
         dense = np.eye(1 << lay.n_qubits)
-        for k in lay.clock_qubits:
+        vector_qubits = tuple(range(lay.n_clock, lay.n_clock + lay.n_vector))
+        for k in range(lay.n_clock):
             power = np.linalg.matrix_power(u, 1 << (lay.n_clock - 1 - k))
-            dense = kron_operator(lay.n_qubits, tuple(lay.vector_qubits), power, control=k) @ dense
+            dense = kron_operator(lay.n_qubits, vector_qubits, power, control=k) @ dense
         state = random_state(rng, lay)
         out = sv.apply_clock_controlled(state, q, evolution_phases(lay, eigenphases))
         assert np.abs(out.amplitudes - dense @ state.amplitudes).max() < 1e-12
@@ -209,7 +181,7 @@ class TestQFT:
     def test_single_qubit_acts_as_hadamard(self):
         state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
         via_qft = sv.apply_inverse_qft(state)
-        via_h = sv.apply_gate(state, sv.hadamard(0))
+        via_h = sv.apply_gate(state, 0)
         assert np.abs(via_qft.amplitudes - via_h.amplitudes).max() < 1e-12
 
     def test_uniform_clock_maps_to_zero(self):
@@ -239,34 +211,49 @@ class TestQFT:
             assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-10
 
 
+def ancilla_state(layout, ancilla0, ancilla1):
+    """Clock value 0, vector amplitudes ``ancilla0`` on ancilla 0 and ``ancilla1`` on 1."""
+    amps = np.zeros(1 << layout.n_qubits, dtype=complex)
+    t = amps.reshape(layout.clock_dim, layout.vector_dim, 2)
+    t[0, :, 0] = ancilla0
+    t[0, :, 1] = ancilla1
+    return sv.StateVector(layout, amps)
+
+
 class TestMeasurement:
+    """measure_qubit post-selects the ancilla on |1>."""
+
     def test_deterministic_outcome(self):
-        state = sv.init_state(LAYOUT, np.array([0.0, 1.0]))  # vector qubit |1>
-        outcome, prob, _ = sv.measure_qubit(state, 1, post_select=1)
-        assert outcome == 1
+        state = ancilla_state(LAYOUT, [0.0, 0.0], [0.6, 0.8])  # ancilla |1>
+        prob, collapsed = sv.measure_qubit(state)
         assert prob == pytest.approx(1.0)
+        assert np.abs(collapsed.amplitudes - state.amplitudes).max() < 1e-15
 
     def test_post_select_half(self):
-        state = sv.init_state(LAYOUT, np.array([1.0, 1.0]) / math.sqrt(2))
-        outcome, prob, collapsed = sv.measure_qubit(state, 1, post_select=1)
+        half = 1 / math.sqrt(2)
+        state = ancilla_state(LAYOUT, [half, 0.0], [0.0, half])
+        prob, collapsed = sv.measure_qubit(state)
         assert prob == pytest.approx(0.5)
-        assert collapsed.tensor()[0, 1, 0] == pytest.approx(1.0)
-        assert collapsed.norm() == pytest.approx(1.0)
+        assert collapsed.tensor()[0, 1, 1] == pytest.approx(1.0)
+        assert norm(collapsed) == pytest.approx(1.0)
 
     def test_zero_probability_post_selection(self):
-        state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))
-        with pytest.raises(sv.PostSelectionError) as err:
-            sv.measure_qubit(state, 1, post_select=1)
+        state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))  # ancilla |0>
+        with pytest.raises(sv.PostSelectionError, match="ancilla outcome 1") as err:
+            sv.measure_qubit(state)
         assert err.value.probability <= 1e-12
 
     def test_probabilities_sum_to_one(self):
+        # the post-selected probability and the ancilla-0 mass, summed directly, make 1
         rng = np.random.default_rng(10)
         lay = sv.RegisterLayout(2, 2)
-        state = random_state(rng, lay)
-        for q in range(lay.n_qubits):
-            _, p1, _ = sv.measure_qubit(state, q, post_select=1)
-            _, p0, _ = sv.measure_qubit(state, q, post_select=0)
+        for _ in range(5):
+            state = random_state(rng, lay)
+            p1, collapsed = sv.measure_qubit(state)
+            p0 = float(np.sum(np.abs(state.tensor()[:, :, 0]) ** 2))
             assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(collapsed.tensor()[:, :, 0]).max() == 0.0
+            assert norm(collapsed) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExtractRegister:

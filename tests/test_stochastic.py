@@ -54,8 +54,27 @@ class TestSampling:
         spec = two_injections() + (
             stochastic.UncertainInjection(bus=5, p_mean=-0.6, p_std=0.05),
         )
-        with pytest.raises(ValueError, match="positive definite"):
+        # the message names the matrix and the bus of the failing pivot
+        with pytest.raises(
+            linalg.NotPositiveDefiniteError,
+            match=r"^correlation matrix is not positive definite: pivot 2 is .* \(bus 5\)$",
+        ):
             stochastic.sample_injections(spec, bad, n=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((3, 3, 0.25),), r"^correlations\[0\]: pairs bus 3 with itself$"),
+            (
+                ((3, 4, 0.5), (4, 3, -0.5)),
+                r"^correlations\[1\]: pair \(4, 3\) repeats correlations\[0\]$",
+            ),
+        ],
+        ids=["self-pair", "repeated-pair"],
+    )
+    def test_rejects_pairs_that_would_overwrite_an_entry(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            stochastic.CorrelationSpec(pairs=pairs)
 
     def test_rejects_out_of_range_rho(self):
         with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
@@ -134,7 +153,9 @@ class TestMonteCarlo:
         doc = cases.load_document("five_bus")
         calls = []
         original = linalg.cholesky
-        monkeypatch.setattr(linalg, "cholesky", lambda c: calls.append(c) or original(c))
+        monkeypatch.setattr(
+            linalg, "cholesky", lambda c, name: calls.append(c) or original(c, name)
+        )
         stochastic.run_monte_carlo(
             doc.case, doc.injections, doc.correlations, n=20, seed=3,
             solver=solvers.SolverConfig(method=method),
