@@ -194,6 +194,12 @@ def _parse_native(text: str) -> CaseDocument:
                 idx = case.bus_index(bus_id)
             except KeyError:
                 raise CaseError(f"{where}: field 'bus' names unknown bus {bus_id}") from None
+            kind = case.buses[idx].kind
+            if kind != network.PQ:
+                raise CaseError(
+                    f"{where}: field 'bus' names {kind} bus {bus_id}; "
+                    "an uncertain injection must sit on a PQ bus"
+                )
             if any(inj.bus == bus_id for inj in recs):
                 raise CaseError(f"{where}: bus {bus_id} already has an uncertain injection")
             p_mean = number(rec, "p_mean", p_sched[idx], where)
@@ -266,7 +272,9 @@ def emit_case(case: NetworkCase, document: CaseDocument | None = None) -> str:
             for br in case.branches
         ],
     }
-    if document is not None and document.injections:
+    # a parsed document carries correlations exactly when its source had an
+    # uncertainty block, even one without injections
+    if document is not None and (document.injections or document.correlations is not None):
         payload["uncertainty"] = {
             "injections": [
                 {

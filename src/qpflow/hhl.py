@@ -12,7 +12,9 @@ Pipeline for a Hermitian positive-definite system B x = b:
 2. solve: load |b>, run phase estimation, rotate the ancilla by arcsin(C/m)
    per clock value m, undo phase estimation, post-select the ancilla on
    |1>, read out the vector register, and de-normalize using the known
-   ||b|| and the scaling factor.
+   ||b|| and the scaling factor. A solve allocates two state-sized
+   buffers, the state and its spare, and every stage writes into the
+   other one (see statevector), so no stage allocates a state of its own.
 
 Phase estimation works on the three registers as the paper describes it:
 a Hadamard on each clock qubit puts the clock in a uniform superposition,
@@ -53,9 +55,10 @@ SNAP_ATOL = 1e-2
 SUPPORT_PROBABILITY = 1e-12
 # Fraction of the clock range the margin rule fills with the largest eigenvalue.
 EIGENVALUE_MARGIN = 0.95
-# Largest statevector prepare_system accepts. A gate or transform holds a
-# few copies of the state at once, so a solve stays near 1 GiB; beyond it
-# the clock size is an input error, caught before any state-sized work.
+# Largest statevector prepare_system accepts. A solve holds the state and
+# one spare buffer of its size, plus temporaries of at most about half a
+# state, so a solve at the limit stays under 700 MiB; beyond it the clock
+# size is an input error, caught before any state-sized work.
 MAX_STATE_BYTES = 1 << 28
 
 
@@ -268,8 +271,20 @@ def apply_reciprocal_rotation(
     a0, a1 = t[:, :, 0], t[:, :, 1]
     cos_half = prepared.rotation_cos[:, None]
     sin_half = prepared.rotation_sin[:, None]
-    out = np.stack((cos_half * a0 - sin_half * a1, sin_half * a0 + cos_half * a1), axis=-1)
-    return sv.StateVector(state.layout, out.reshape(-1))
+    out = state.destination()
+    o = out.reshape(t.shape)
+    o0, o1 = o[:, :, 0], o[:, :, 1]
+    # o0 = cos a0 - sin a1 and o1 = sin a0 + cos a1, each product formed once.
+    # cos a1 goes into a0's slot once a0 is used up: with a spare the input
+    # is consumed, without one that slot is a fresh array.
+    np.multiply(sin_half, a1, out=o0)
+    np.multiply(cos_half, a0, out=o1)
+    np.subtract(o1, o0, out=o0)
+    np.multiply(sin_half, a0, out=o1)
+    cos_a1 = a0 if state.spare is not None else np.empty_like(a0)
+    np.multiply(cos_half, a1, out=cos_a1)
+    np.add(o1, cos_a1, out=o1)
+    return state.advanced(out)
 
 
 def clock_leakage(state: sv.StateVector) -> float:
@@ -303,6 +318,8 @@ def solve(prepared: PreparedSystem, b: np.ndarray) -> HHLSolution:
     padded_b[:n] = b / b_norm
 
     state = sv.init_state(lay, padded_b)
+    # every stage below writes into the other of these two buffers
+    state.spare = np.empty_like(state.amplitudes)
     state = run_qpe(prepared, state)
     state = apply_reciprocal_rotation(state, prepared)
     state = run_inverse_qpe(prepared, state)

@@ -8,8 +8,15 @@ Conventions, fixed package-wide:
   the last (least significant) qubit.
 * Reading the clock register as an integer therefore gives the binary
   eigenvalue estimate directly, most significant bit first.
-* Operations are functional: they return new StateVector values and never
-  mutate their inputs, so states are safe to share across callers.
+* A state may carry a spare amplitude buffer of its own size. With one,
+  every state-sized stage works inside the state's two buffers through
+  numpy's ``out=`` and returns a state that owns both, the result in one
+  and the other as its spare, so a run of stages allocates no state-sized
+  array. The input is consumed: a later stage overwrites its buffers, so
+  keep only the latest state. Without a spare, a stage writes into fresh
+  arrays and never mutates its input, so a spare-less state is safe to
+  share across callers. Both take the same code and give the same
+  amplitudes, bit for bit.
 * The circuit has one single-qubit gate, the Hadamard on a clock qubit,
   applied by reshaping the amplitudes so that the target forms the middle
   axis. Everything wider is a register-level operation: the
@@ -27,7 +34,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,10 +79,15 @@ class RegisterLayout:
 
 @dataclass
 class StateVector:
-    """Amplitudes over the full register, unit norm after every gate."""
+    """Amplitudes over the full register, unit norm after every gate.
+
+    ``spare``, when set, is a complex buffer of the amplitudes' size that
+    the next stage may overwrite (see the module docstring).
+    """
 
     layout: RegisterLayout
     amplitudes: np.ndarray
+    spare: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def tensor(self) -> np.ndarray:
         """View shaped (clock_dim, vector_dim, 2); shares memory."""
@@ -84,8 +96,23 @@ class StateVector:
 
     def clock_probabilities(self) -> np.ndarray:
         """Probability of each clock-register value, length clock_dim."""
-        t = self.tensor()
-        return np.sum(np.abs(t) ** 2, axis=(1, 2))
+        f = np.asarray(self.amplitudes, dtype=complex).view(float)
+        f = f.reshape(self.layout.clock_dim, -1)
+        return np.einsum("ij,ij->i", f, f)
+
+    def destination(self) -> np.ndarray:
+        """The buffer a stage writes its result into: the spare, else a fresh one."""
+        if self.spare is not None:
+            return self.spare
+        return np.empty(self.amplitudes.shape, dtype=complex)
+
+    def advanced(self, amplitudes: np.ndarray) -> StateVector:
+        """The state a stage returns, on its result ``amplitudes``.
+
+        With a spare, this state's amplitudes become the new state's spare.
+        """
+        spare = None if self.spare is None else self.amplitudes
+        return StateVector(self.layout, amplitudes, spare)
 
 
 # The circuit's one single-qubit gate, the Hadamard on each clock qubit.
@@ -120,8 +147,10 @@ def apply_gate(state: StateVector, qubit: int) -> StateVector:
         raise ValueError(
             f"qubit {qubit} is out of range for the {lay.n_clock}-qubit clock register"
         )
+    out = state.destination()
     amps = state.amplitudes.reshape(1 << qubit, 2, -1)
-    return StateVector(lay, (_H @ amps).reshape(-1))
+    np.matmul(_H, amps, out=out.reshape(amps.shape))
+    return state.advanced(out)
 
 
 def apply_clock_controlled(
@@ -132,13 +161,26 @@ def apply_clock_controlled(
     ``eigenvectors`` is the unitary Q on the vector register and ``phases``
     a (clock_dim, vector_dim) table, so clock value m carries its own power
     of an operator that Q diagonalizes. The ancilla is untouched.
+
+    The basis change ping-pongs between the destination and a second
+    buffer: the input's own when the state has a spare (the input has been
+    copied out by then), a fresh one when not. The result lands in that
+    second buffer, and the destination becomes the result's spare.
     """
     lay = state.layout
-    # Rows are (clock value, ancilla) pairs, columns the vector register.
-    rows = state.tensor().transpose(0, 2, 1).reshape(-1, lay.vector_dim)
-    y = (rows @ eigenvectors.conj()).reshape(lay.clock_dim, 2, -1) * phases[:, None, :]
-    out = (y.reshape(-1, lay.vector_dim) @ eigenvectors.T).reshape(lay.clock_dim, 2, -1)
-    return StateVector(lay, out.transpose(0, 2, 1).reshape(-1))
+    shape = (2, lay.clock_dim, lay.vector_dim)
+    work = state.destination()
+    out = state.amplitudes if state.spare is not None else np.empty_like(work)
+    # Rows are (ancilla, clock value) pairs, columns the vector register; with
+    # the ancilla outermost the phase table broadcasts without a buffer.
+    rows, y = work.reshape(shape), out.reshape(shape)
+    flat_rows, flat_y = work.reshape(-1, lay.vector_dim), out.reshape(-1, lay.vector_dim)
+    np.copyto(rows, state.tensor().transpose(2, 0, 1))
+    np.matmul(flat_rows, eigenvectors.conj(), out=flat_y)
+    np.multiply(y, phases, out=y)
+    np.matmul(flat_y, eigenvectors.T, out=flat_rows)
+    np.copyto(out.reshape(lay.clock_dim, lay.vector_dim, 2), rows.transpose(1, 2, 0))
+    return StateVector(lay, out, None if state.spare is None else work)
 
 
 def apply_qft(state: StateVector) -> StateVector:
@@ -147,8 +189,10 @@ def apply_qft(state: StateVector) -> StateVector:
     Amplitude j of the clock register goes to sum_k e^{+2 pi i jk/M} a_k /
     sqrt(M): numpy's orthonormal inverse FFT along the clock axis.
     """
+    out = state.destination()
     block = state.amplitudes.reshape(state.layout.clock_dim, -1)
-    return StateVector(state.layout, np.fft.ifft(block, axis=0, norm="ortho").reshape(-1))
+    np.fft.ifft(block, axis=0, norm="ortho", out=out.reshape(block.shape))
+    return state.advanced(out)
 
 
 def apply_inverse_qft(state: StateVector) -> StateVector:
@@ -157,8 +201,10 @@ def apply_inverse_qft(state: StateVector) -> StateVector:
     The adjoint of apply_qft: numpy's orthonormal forward FFT along the
     clock axis.
     """
+    out = state.destination()
     block = state.amplitudes.reshape(state.layout.clock_dim, -1)
-    return StateVector(state.layout, np.fft.fft(block, axis=0, norm="ortho").reshape(-1))
+    np.fft.fft(block, axis=0, norm="ortho", out=out.reshape(block.shape))
+    return state.advanced(out)
 
 
 def measure_qubit(state: StateVector) -> tuple[float, StateVector]:
@@ -174,9 +220,11 @@ def measure_qubit(state: StateVector) -> tuple[float, StateVector]:
         raise PostSelectionError(
             f"post-selected ancilla outcome 1 has probability {prob:.3e}", probability=prob
         )
-    collapsed = np.zeros_like(t)
-    collapsed[:, 1] = t[:, 1] / math.sqrt(prob)
-    return prob, StateVector(state.layout, collapsed.reshape(-1))
+    out = state.destination()
+    collapsed = out.reshape(t.shape)
+    collapsed[:, 0] = 0.0
+    np.divide(t[:, 1], math.sqrt(prob), out=collapsed[:, 1])
+    return prob, state.advanced(out)
 
 
 def extract_register(state: StateVector) -> tuple[np.ndarray, float]:

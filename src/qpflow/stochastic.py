@@ -11,6 +11,7 @@ bus twice with separate specs decouples them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,9 @@ class UncertainInjection:
     q_std: float = 0.0
 
     def __post_init__(self):
+        for name in ("p_mean", "p_std", "q_mean", "q_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"bus {self.bus}: field {name!r} is not finite")
         if self.p_std < 0.0 or self.q_std < 0.0:
             raise ValueError(f"bus {self.bus}: standard deviations must be non-negative")
 

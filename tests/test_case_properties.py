@@ -225,3 +225,20 @@ def test_uncertainty_block_parses_or_raises_case_error(unc):
     for i, j, rho in pairs:
         assert i != j and -1.0 <= rho <= 1.0
         assert corr[buses.index(i), buses.index(j)] == rho
+
+
+ROUND_TRIP_DOCUMENT = st.one_of(
+    DOCUMENT, UNCERTAINTY.map(lambda unc: {**FIVE_BUS, "uncertainty": unc})
+)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+@hypothesis.given(ROUND_TRIP_DOCUMENT)
+def test_parsed_document_survives_emit_and_parse(doc):
+    try:
+        parsed = caseio.parse_document(json.dumps(doc))
+    except caseio.CaseError:
+        return
+    again = caseio.parse_document(caseio.emit_case(parsed.case, parsed))
+    assert again.case == parsed.case
+    assert again == parsed

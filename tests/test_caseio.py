@@ -141,6 +141,17 @@ class TestNativeParser:
         with pytest.raises(caseio.CaseError, match="JSON object"):
             caseio.parse_case("[1, 2, 3]")
 
+    @pytest.mark.parametrize("bus, kind", [(1, "slack"), (2, "pv")])
+    def test_uncertain_injection_on_non_pq_bus_rejected(self, bus, kind):
+        doc = json.loads(cases.case_path("five_bus").read_text())
+        doc["uncertainty"]["injections"][0]["bus"] = bus
+        message = (
+            rf"uncertainty.injections\[0\]: field 'bus' names {kind} bus {bus}; "
+            "an uncertain injection must sit on a PQ bus"
+        )
+        with pytest.raises(caseio.CaseError, match=message):
+            caseio.parse_document(json.dumps(doc))
+
     def test_uncertainty_defaults(self):
         doc = cases.load_document("five_bus")
         by_bus = {inj.bus: inj for inj in doc.injections}

@@ -280,6 +280,11 @@ class TestMonteCarlo:
                 "uncertainty.injections[2]: bus 3 already has an uncertain injection",
             ),
             (
+                lambda unc: unc["injections"][1].update(bus=2),
+                "uncertainty.injections[1]: field 'bus' names pv bus 2; "
+                "an uncertain injection must sit on a PQ bus",
+            ),
+            (
                 lambda unc: unc.update(
                     injections=unc["injections"] + [{"bus": 5, "p_std": 0.05}],
                     correlations=[
@@ -301,7 +306,7 @@ class TestMonteCarlo:
         ],
         ids=[
             "rho", "negative-std", "self-pair", "repeated-pair", "unsampled-bus",
-            "repeated-injection", "not-positive-definite", "injections-not-list",
+            "repeated-injection", "injection-on-pv-bus", "not-positive-definite", "injections-not-list",
             "correlations-not-objects",
         ],
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,3 +485,91 @@ class TestSolve:
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))
         with pytest.raises(ValueError, match="shape"):
             hhl.solve(prep, np.ones(3))
+
+
+def solve_without_spare(prep, b):
+    """hhl.solve's pipeline on spare-less states: every stage takes a fresh buffer."""
+    n = prep.dimension
+    b = np.asarray(b, dtype=complex)
+    b_norm = np.linalg.norm(b)
+    padded_b = np.zeros(prep.layout.vector_dim, dtype=complex)
+    padded_b[:n] = b / b_norm
+    state = sv.init_state(prep.layout, padded_b)
+    state = hhl.run_qpe(prep, state)
+    state = hhl.apply_reciprocal_rotation(state, prep)
+    state = hhl.run_inverse_qpe(prep, state)
+    assert state.spare is None
+    success, state = sv.measure_qubit(state)
+    vec, slice_norm = sv.extract_register(state)
+    x = (vec * slice_norm * math.sqrt(success) * b_norm * prep.scale / prep.rotation_constant)[:n]
+    if np.abs(x.imag).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(x).max()):
+        x = x.real.copy()
+    return x, success, hhl.clock_leakage(state)
+
+
+class TestDoubleBuffer:
+    """hhl.solve ping-pongs between two buffers; the spare-less stages are the reference."""
+
+    @pytest.mark.parametrize("n_clock", range(2, 11))
+    def test_solve_matches_spare_less_pipeline(self, n_clock):
+        rng = np.random.default_rng(100 + n_clock)
+        checked = 0
+        for name in cases.NAMES:
+            mats = network.build_b_matrices(cases.load(name))
+            for label, mat in (("B'", mats.b_prime), ("B''", mats.b_double_prime)):
+                if not mat.size:
+                    continue
+                prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=n_clock))
+                for b in (rng.standard_normal(prep.dimension), np.ones(prep.dimension)):
+                    sol = hhl.solve(prep, b)
+                    x, success, leakage = solve_without_spare(prep, b)
+                    assert np.array_equal(sol.solution, x), (name, label)
+                    assert sol.success_probability == success, (name, label)
+                    assert sol.clock_leakage == leakage, (name, label)
+                    checked += 1
+        assert checked >= 20
+
+    def test_rotation_with_spare_matches_without(self):
+        prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=3))
+        state = hhl.run_qpe(prep, sv.init_state(prep.layout, np.array([0.6, 0.8j])))
+        before = state.amplitudes.copy()
+        reference = hhl.apply_reciprocal_rotation(state, prep)
+        assert np.array_equal(state.amplitudes, before)  # a spare-less input is kept
+        assert reference.spare is None
+        assert not np.shares_memory(reference.amplitudes, state.amplitudes)
+        buffers = (before, np.empty_like(before))
+        out = hhl.apply_reciprocal_rotation(sv.StateVector(prep.layout, *buffers), prep)
+        assert np.array_equal(out.amplitudes, reference.amplitudes)
+        assert {id(out.amplitudes), id(out.spare)} == {id(buf) for buf in buffers}
+
+    def test_solution_shares_no_memory_with_buffers(self, monkeypatch):
+        seen = []
+        extract = sv.extract_register
+
+        def keep_state(state):
+            seen.append(state)
+            return extract(state)
+
+        monkeypatch.setattr(sv, "extract_register", keep_state)
+        prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=3))
+        for b in (np.array([0.2, 0.9]), np.array([0.2 + 0.1j, 0.9])):
+            sol = hhl.solve(prep, b)
+            state = seen.pop()
+            assert state.spare is not None
+            assert not np.shares_memory(sol.solution, state.amplitudes)
+            assert not np.shares_memory(sol.solution, state.spare)
+
+    def test_peak_memory_of_a_large_solve(self):
+        mats = network.build_b_matrices(cases.load("chain_16"))
+        prep = hhl.prepare_system(mats.b_prime, hhl.HHLConfig(n_clock=9))
+        state_bytes = (1 << prep.layout.n_qubits) * np.dtype(complex).itemsize
+        b = np.random.default_rng(5).standard_normal(prep.dimension)
+        hhl.solve(prep, b)  # numpy's own lazy set-up is not the solve's
+        tracemalloc.start()
+        try:
+            hhl.solve(prep, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the state and its spare, plus temporaries of at most half a state
+        assert peak <= 3.5 * state_bytes

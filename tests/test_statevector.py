@@ -281,3 +281,71 @@ class TestExtractRegister:
         state = sv.init_state(LAYOUT, np.array([1.0, 0.0]))  # ancilla is |0>
         with pytest.raises(ValueError, match="zero norm"):
             sv.extract_register(state)
+
+
+def with_spare(state):
+    """A copy of ``state`` that carries a spare buffer of its size."""
+    return sv.StateVector(state.layout, state.amplitudes.copy(), np.empty_like(state.amplitudes))
+
+
+SPARE_LAYOUT = sv.RegisterLayout(3, 3)
+_SPARE_RNG = np.random.default_rng(46)
+_Q = random_unitary(_SPARE_RNG, SPARE_LAYOUT.vector_dim)
+_PHASES = evolution_phases(
+    SPARE_LAYOUT, _SPARE_RNG.uniform(-math.pi, math.pi, SPARE_LAYOUT.vector_dim)
+)
+# Every state-sized stage of the simulator, as a function from state to state.
+STAGES = {
+    "hadamard-first": lambda s: sv.apply_gate(s, 0),
+    "hadamard-last": lambda s: sv.apply_gate(s, 2),
+    "clock-controlled": lambda s: sv.apply_clock_controlled(s, _Q, _PHASES),
+    "clock-controlled-inverse": lambda s: sv.apply_clock_controlled(s, _Q, _PHASES.conj()),
+    "qft": sv.apply_qft,
+    "inverse-qft": sv.apply_inverse_qft,
+    "measure": lambda s: sv.measure_qubit(s)[1],
+}
+
+
+def holds(state, buffers):
+    """True when ``state``'s amplitudes and spare are exactly the two ``buffers``."""
+    return {id(state.amplitudes), id(state.spare)} == {id(b) for b in buffers}
+
+
+class TestSpare:
+    """A stage with a spare works in the state's two buffers; without one it copies."""
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stage_with_spare_matches_without(self, stage):
+        state = random_state(np.random.default_rng(47), SPARE_LAYOUT)
+        reference = STAGES[stage](state)
+        buffered = with_spare(state)
+        buffers = (buffered.amplitudes, buffered.spare)
+        out = STAGES[stage](buffered)
+        assert np.array_equal(out.amplitudes, reference.amplitudes)
+        # the result owns the input's two buffers and allocated neither
+        assert holds(out, buffers)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_spare_less_input_is_not_mutated(self, stage):
+        state = random_state(np.random.default_rng(48), SPARE_LAYOUT)
+        before = state.amplitudes.copy()
+        out = STAGES[stage](state)
+        assert np.array_equal(state.amplitudes, before)
+        assert state.spare is None and out.spare is None
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+    def test_stage_chain_with_spare_matches_without(self):
+        # a run of stages keeps ping-ponging between the same two buffers
+        reference = random_state(np.random.default_rng(49), SPARE_LAYOUT)
+        buffered = with_spare(reference)
+        buffers = (buffered.amplitudes, buffered.spare)
+        for stage in ("hadamard-first", "clock-controlled", "inverse-qft", "qft",
+                      "clock-controlled-inverse", "hadamard-last", "measure"):
+            reference, buffered = STAGES[stage](reference), STAGES[stage](buffered)
+            assert np.array_equal(buffered.amplitudes, reference.amplitudes), stage
+            assert holds(buffered, buffers), stage
+
+    def test_clock_probabilities(self):
+        state = random_state(np.random.default_rng(50), SPARE_LAYOUT)
+        expected = np.sum(np.abs(state.tensor()) ** 2, axis=(1, 2))
+        assert np.allclose(state.clock_probabilities(), expected, rtol=1e-14, atol=0.0)

@@ -17,6 +17,14 @@ CORR = stochastic.CorrelationSpec(pairs=((3, 4, 0.75),))
 
 
 class TestSampling:
+    @pytest.mark.parametrize("field", ["p_mean", "p_std", "q_mean", "q_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_spec(self, field, value):
+        fields = dict(bus=3, p_mean=-0.45, p_std=0.05, q_mean=-0.15, q_std=0.01)
+        fields[field] = value
+        with pytest.raises(ValueError, match=rf"^bus 3: field '{field}' is not finite$"):
+            stochastic.UncertainInjection(**fields)
+
     def test_zero_std_degenerates_to_mean(self):
         batch = stochastic.sample_injections(two_injections(0.0, 0.0), CORR, n=7, seed=1)
         assert np.allclose(batch.p, [[-0.45, -0.40]] * 7)
