@@ -7,14 +7,30 @@ Pipeline for a Hermitian positive-definite system B x = b:
    power-of-two dimension (B (+) I has B's eigenpairs plus (1, e_k) on the
    padding, so the padded eigenbasis is diag(Q, I)), scale the spectrum
    into the clock register's integer range and derive the rotation
-   constant C from the encoded spectrum. Done once per matrix; the
-   prepared system is reused across solves.
-2. solve: load |b>, run phase estimation, rotate the ancilla by arcsin(C/m)
-   per clock value m, undo phase estimation, post-select the ancilla on
-   |1>, read out the vector register, and de-normalize using the known
-   ||b|| and the scaling factor. A solve allocates two state-sized
-   buffers, the state and its spare, and every stage writes into the
-   other one (see statevector), so no stage allocates a state of its own.
+   constant C from the encoded spectrum. It then runs the full circuit
+   (run_circuit) once on a probe and reads from it a gain table per
+   eigenvector. Done once per matrix; the prepared system is reused across
+   solves.
+2. run_circuit: load |psi>, run phase estimation, rotate the ancilla by
+   arcsin(C/m) per clock value m, undo phase estimation, post-select the
+   ancilla on |1> and read out the vector register. It allocates two
+   state-sized buffers, the state and its spare, and every stage writes
+   into the other one (see statevector), so no stage allocates a state of
+   its own.
+3. solve: apply the gain table to the right-hand side in B's eigenbasis and
+   de-normalize using the known ||b|| and the scaling factor; no state is
+   simulated.
+
+Why a table suffices (Harrow, Hassidim & Lloyd 2009): every stage touches
+the vector register only through U = e^{iBt}, which Q diagonalizes, so an
+input eigenvector u_j leaves the circuit as u_j (x) phi_j(clock, ancilla),
+and the phi_j never mix. With c = Q^H b/||b||, the circuit's post-selected
+slice (clock 0, ancilla |1>) is Q (g * c) with g_j = phi_j(0, 1), its
+success probability is sum_j p_j |c_j|^2 with p_j the ancilla-1 mass of
+phi_j, and its clock leakage sum_j l_j |c_j|^2 / p with l_j the part of
+p_j on clock values other than 0. The probe Q (1, ..., 1)/sqrt(n) carries
+every phi_j with weight 1/sqrt(n), so one circuit run gives all three
+tables. run_circuit stays the exact-simulation reference of solve.
 
 Phase estimation works on the three registers as the paper describes it:
 a Hadamard on each clock qubit puts the clock in a uniform superposition,
@@ -29,8 +45,9 @@ phase estimation and the reciprocal rotation only at the beginning stage,
 because B' and B'' stay constant through a fast-decoupled solve.
 PreparedSystem follows that: when it is built it fixes the (clock value,
 eigenvector) phase table and the (cos, sin) pair of the ancilla rotation
-for every clock value. A solve then only applies them to its right-hand
-side. The clock size is the only setting.
+for every clock value, and prepare_system runs the circuit on them once,
+so a solve applies only the gain table read off that run. The clock size
+is the only setting.
 
 Eigenvalue scaling prefers an evolution time that lands every eigenvalue
 on (or near) a clock integer, falling back to a margin rule that places
@@ -55,10 +72,11 @@ SNAP_ATOL = 1e-2
 SUPPORT_PROBABILITY = 1e-12
 # Fraction of the clock range the margin rule fills with the largest eigenvalue.
 EIGENVALUE_MARGIN = 0.95
-# Largest statevector prepare_system accepts. A solve holds the state and
-# one spare buffer of its size, plus temporaries of at most about half a
-# state, so a solve at the limit stays under 700 MiB; beyond it the clock
-# size is an input error, caught before any state-sized work.
+# Largest statevector prepare_system accepts, checked before it allocates
+# anything state-sized. Its one circuit run, on the probe, peaks at about 4
+# state sizes (the state, its spare, the phase table and, in inverse phase
+# estimation, its conjugate), so a prepare at the limit stays near 1 GiB;
+# beyond it the clock size is an input error. A solve holds no state.
 MAX_STATE_BYTES = 1 << 28
 
 
@@ -79,8 +97,10 @@ class PreparedSystem:
 
     The phase table of the controlled evolution and the per-clock-value
     rotation are derived from the padded eigenvalues, ``time_step``,
-    ``rotation_constant`` and ``layout`` when the system is built.
-    ``rotation_constant`` is the C that prepare_system derives.
+    ``rotation_constant`` and ``layout`` when the system is built; they are
+    all run_circuit needs. ``rotation_constant`` is the C that
+    prepare_system derives, and prepare_system also fills in the gain
+    table that solve applies.
     """
 
     layout: sv.RegisterLayout
@@ -96,6 +116,14 @@ class PreparedSystem:
     clock_phases: np.ndarray = field(init=False, repr=False, compare=False)
     rotation_cos: np.ndarray = field(init=False, repr=False, compare=False)
     rotation_sin: np.ndarray = field(init=False, repr=False, compare=False)
+    # Per eigenvector j of B, read off the probe's circuit run by
+    # prepare_system: the amplitude g_j on clock 0 with the ancilla at |1>,
+    # the post-selection mass p_j and its part l_j on clock values other than 0.
+    gains: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    post_selection_mass: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    leakage_mass: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # clock_phases[m, j] = e^{i lambda_j t m}: the eigenvalue of U^m on
@@ -197,7 +225,7 @@ def prepare_system(
     encoded = dec.eigenvalues * scale
     c = float(encoded[0]) if exact else min(1.0, float(encoded[0]))
 
-    return PreparedSystem(
+    prepared = PreparedSystem(
         layout=layout,
         time_step=2.0 * math.pi * scale / layout.clock_dim,
         scale=scale,
@@ -209,6 +237,35 @@ def prepare_system(
         exact_encoding=exact,
         warning=f"{name}: {spread}" if spread else None,
     )
+    for key, table in _gain_tables(prepared).items():
+        object.__setattr__(prepared, key, table)  # not yet shared with any caller
+    return prepared
+
+
+def _gain_tables(prepared: PreparedSystem) -> dict[str, np.ndarray]:
+    """Run the circuit once on the probe Q (1, ..., 1)/sqrt(n); read g, p and l.
+
+    The collapsed state's ancilla-1 block is sum_j u_j phi_j(m, 1) /
+    sqrt(n p), so projecting it onto u_j gives phi_j for every clock
+    value m at once. Each l_j sums its own clock values other than 0, so
+    a leakage far below p_j keeps its full relative precision.
+    """
+    n = prepared.dimension
+    q = prepared.padded_eigenvectors[:, :n]  # u_j on the padded register
+    run = run_circuit(prepared, q.sum(axis=1) / math.sqrt(n))
+    pad_tail = np.abs(run.slice[n:])
+    if pad_tail.size and pad_tail.max() > 1e-10:
+        raise AssertionError(
+            f"padding entries carry amplitude {pad_tail.max():.3e}; expected zero"
+        )
+    phi = run.state.tensor()[:, :, 1] @ q.conj()  # phi_j(m, 1) at [m, j]
+    phi *= math.sqrt(n * run.success_probability)
+    mass = phi.real * phi.real + phi.imag * phi.imag
+    return {
+        "gains": phi[0].copy(),
+        "post_selection_mass": mass.sum(axis=0),
+        "leakage_mass": mass[1:].sum(axis=0),
+    }
 
 
 def _check_layout(prepared: PreparedSystem, state: sv.StateVector):
@@ -293,12 +350,46 @@ def clock_leakage(state: sv.StateVector) -> float:
     return float(np.vdot(rest, rest).real)
 
 
-def solve(prepared: PreparedSystem, b: np.ndarray) -> HHLSolution:
-    """Solve B x = b through the full circuit and de-normalize the readout.
+@dataclass(frozen=True)
+class CircuitRun:
+    """What run_circuit leaves: the post-selection and its collapsed state.
 
-    The returned solution satisfies B x ~ b up to the encoding precision.
-    The ancilla is post-selected on |1> deterministically, since the
-    simulator holds exact amplitudes.
+    ``slice`` is the collapsed state's vector register on clock value 0
+    with the ancilla at |1>, a fresh array.
+    """
+
+    success_probability: float
+    state: sv.StateVector
+    slice: np.ndarray
+
+
+def run_circuit(prepared: PreparedSystem, vector_amplitudes: np.ndarray) -> CircuitRun:
+    """The full-state HHL circuit on one unit-norm vector-register input.
+
+    prepare_system runs it once on its probe; it is also the exact
+    simulation that solve's gain table reproduces. The ancilla is
+    post-selected on |1> deterministically, since the simulator holds
+    exact amplitudes.
+    """
+    state = sv.init_state(prepared.layout, vector_amplitudes)
+    # every stage below writes into the other of these two buffers
+    state.spare = np.empty_like(state.amplitudes)
+    state = run_qpe(prepared, state)
+    state = apply_reciprocal_rotation(state, prepared)
+    state = run_inverse_qpe(prepared, state)
+
+    success_probability, state = sv.measure_qubit(state)
+    vec, slice_norm = sv.extract_register(state)
+    return CircuitRun(success_probability, state, vec * slice_norm)
+
+
+def solve(prepared: PreparedSystem, b: np.ndarray) -> HHLSolution:
+    """Solve B x = b with the prepared gain table and de-normalize the readout.
+
+    Gives what run_circuit on b/||b|| gives, in O(n^2): the solution
+    Q (g * c) ||b|| scale / C with c = Q^H b/||b||, and the success
+    probability and clock leakage from the per-eigenvector masses. The
+    returned solution satisfies B x ~ b up to the encoding precision.
     """
     b = np.asarray(b, dtype=complex)
     n = prepared.dimension
@@ -313,33 +404,20 @@ def solve(prepared: PreparedSystem, b: np.ndarray) -> HHLSolution:
             raise ValueError("right-hand side is zero")
         b_norm = peak * np.linalg.norm(b / peak)
 
-    lay = prepared.layout
-    padded_b = np.zeros(lay.vector_dim, dtype=complex)
-    padded_b[:n] = b / b_norm
+    q = prepared.padded_eigenvectors[:n, :n]
+    c = q.conj().T @ (b / b_norm)
+    weights = c.real * c.real + c.imag * c.imag
+    success_probability = float(prepared.post_selection_mass @ weights)
+    sv.check_post_selection(success_probability)
+    amplitudes = prepared.gains * c
+    sv.check_slice_norm(float(np.linalg.norm(amplitudes)) / math.sqrt(success_probability))
 
-    state = sv.init_state(lay, padded_b)
-    # every stage below writes into the other of these two buffers
-    state.spare = np.empty_like(state.amplitudes)
-    state = run_qpe(prepared, state)
-    state = apply_reciprocal_rotation(state, prepared)
-    state = run_inverse_qpe(prepared, state)
-
-    success_probability, state = sv.measure_qubit(state)
-    vec, slice_norm = sv.extract_register(state)
-
-    raw = vec * slice_norm * math.sqrt(success_probability)
-    x_padded = raw * b_norm * prepared.scale / prepared.rotation_constant
-    pad_tail = np.abs(x_padded[n:])
-    if pad_tail.size and pad_tail.max() > 1e-10:
-        raise AssertionError(
-            f"padding entries carry amplitude {pad_tail.max():.3e}; expected zero"
-        )
-    x = x_padded[:n]
+    x = q @ amplitudes * (b_norm * prepared.scale / prepared.rotation_constant)
     if np.abs(x.imag).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(x).max()):
         x = x.real.copy()
 
     return HHLSolution(
         solution=x,
-        success_probability=float(success_probability),
-        clock_leakage=clock_leakage(state),
+        success_probability=success_probability,
+        clock_leakage=float(prepared.leakage_mass @ weights) / success_probability,
     )

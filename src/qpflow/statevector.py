@@ -16,7 +16,9 @@ Conventions, fixed package-wide:
   keep only the latest state. Without a spare, a stage writes into fresh
   arrays and never mutates its input, so a spare-less state is safe to
   share across callers. Both take the same code and give the same
-  amplitudes, bit for bit.
+  amplitudes, bit for bit. hhl runs the circuit once per prepared system,
+  on a probe input, so these buffers exist once per prepare, not once per
+  solve: a solve applies the gain table read off that run.
 * The circuit has one single-qubit gate, the Hadamard on a clock qubit,
   applied by reshaping the amplitudes so that the target forms the middle
   axis. Everything wider is a register-level operation: the
@@ -216,10 +218,7 @@ def measure_qubit(state: StateVector) -> tuple[float, StateVector]:
     # the ancilla is the last qubit: the middle axis of (half, 2, 1)
     t = state.amplitudes.reshape(-1, 2, 1)
     prob = float(np.sum(np.abs(t[:, 1]) ** 2))
-    if prob <= ZERO_PROBABILITY:
-        raise PostSelectionError(
-            f"post-selected ancilla outcome 1 has probability {prob:.3e}", probability=prob
-        )
+    check_post_selection(prob)
     out = state.destination()
     collapsed = out.reshape(t.shape)
     collapsed[:, 0] = 0.0
@@ -235,6 +234,19 @@ def extract_register(state: StateVector) -> tuple[np.ndarray, float]:
     """
     raw = state.tensor()[0, :, 1]
     nrm = float(np.linalg.norm(raw))
+    check_slice_norm(nrm)
+    return raw / nrm, nrm
+
+
+def check_post_selection(prob: float):
+    """Raise PostSelectionError when the ancilla's outcome |1> has (near-)zero probability."""
+    if prob <= ZERO_PROBABILITY:
+        raise PostSelectionError(
+            f"post-selected ancilla outcome 1 has probability {prob:.3e}", probability=prob
+        )
+
+
+def check_slice_norm(nrm: float):
+    """Raise when the slice HHL keeps (clock value 0, ancilla |1>) has (near-)zero norm."""
     if nrm <= math.sqrt(ZERO_PROBABILITY):
         raise ValueError(f"slice clock=0, ancilla=1 has zero norm ({nrm:.3e})")
-    return raw / nrm, nrm

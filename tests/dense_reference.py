@@ -4,12 +4,16 @@ The simulator references build full 2^n x 2^n operators with np.kron and
 explicit index arithmetic, so they share no code with qpflow.statevector.
 The direct-solve reference checks its matrix on every call, as the fast-
 decoupled solver did before it prepared B' and B'' once per solve; it shares
-no code with qpflow.linalg.
+no code with qpflow.linalg. The HHL reference runs each right-hand side
+through the full-state circuit (qpflow.hhl.run_circuit), as hhl.solve did
+before it applied a gain table.
 """
 
 import math
 
 import numpy as np
+
+from qpflow import hhl
 
 
 def dft_matrix(m: int, sign: float) -> np.ndarray:
@@ -68,3 +72,22 @@ def validated_solve_direct(a: np.ndarray, b: np.ndarray, name: str = "matrix") -
     if w.max() == 0.0 or w.min() < 1e-12 * w.max():
         raise ValueError(f"{name} is singular to working precision")
     return np.linalg.solve(a, b)
+
+
+def circuit_solve(prep: hhl.PreparedSystem, b: np.ndarray) -> hhl.HHLSolution:
+    """hhl.solve on the full-state circuit: run_circuit on b/||b||, de-normalized.
+
+    The read-out, the scaling and the real cast take the same operations
+    in the same order as the solve that simulated every right-hand side.
+    """
+    n = prep.dimension
+    b = np.asarray(b, dtype=complex)
+    b_norm = np.linalg.norm(b)
+    padded_b = np.zeros(prep.layout.vector_dim, dtype=complex)
+    padded_b[:n] = b / b_norm
+    run = hhl.run_circuit(prep, padded_b)
+    raw = run.slice * math.sqrt(run.success_probability)
+    x = (raw * b_norm * prep.scale / prep.rotation_constant)[:n]
+    if np.abs(x.imag).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(x).max()):
+        x = x.real.copy()
+    return hhl.HHLSolution(x, float(run.success_probability), hhl.clock_leakage(run.state))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import dft_matrix, kron_operator
+from dense_reference import circuit_solve, dft_matrix, kron_operator
 from qpflow import cases, hhl, linalg, network
 from qpflow import statevector as sv
 
@@ -488,7 +488,7 @@ class TestSolve:
 
 
 def solve_without_spare(prep, b):
-    """hhl.solve's pipeline on spare-less states: every stage takes a fresh buffer."""
+    """circuit_solve's pipeline on spare-less states: every stage takes a fresh buffer."""
     n = prep.dimension
     b = np.asarray(b, dtype=complex)
     b_norm = np.linalg.norm(b)
@@ -507,26 +507,30 @@ def solve_without_spare(prep, b):
     return x, success, hhl.clock_leakage(state)
 
 
+def bundled_systems(n_clock):
+    """(label, matrix, prepared system) for every bundled B' and B''."""
+    for name in cases.NAMES:
+        mats = network.build_b_matrices(cases.load(name))
+        for label, mat in (("B'", mats.b_prime), ("B''", mats.b_double_prime)):
+            if mat.size:
+                yield f"{name} {label}", mat, hhl.prepare_system(mat, hhl.HHLConfig(n_clock))
+
+
 class TestDoubleBuffer:
-    """hhl.solve ping-pongs between two buffers; the spare-less stages are the reference."""
+    """run_circuit ping-pongs between two buffers; the spare-less stages are the reference."""
 
     @pytest.mark.parametrize("n_clock", range(2, 11))
     def test_solve_matches_spare_less_pipeline(self, n_clock):
         rng = np.random.default_rng(100 + n_clock)
         checked = 0
-        for name in cases.NAMES:
-            mats = network.build_b_matrices(cases.load(name))
-            for label, mat in (("B'", mats.b_prime), ("B''", mats.b_double_prime)):
-                if not mat.size:
-                    continue
-                prep = hhl.prepare_system(mat, hhl.HHLConfig(n_clock=n_clock))
-                for b in (rng.standard_normal(prep.dimension), np.ones(prep.dimension)):
-                    sol = hhl.solve(prep, b)
-                    x, success, leakage = solve_without_spare(prep, b)
-                    assert np.array_equal(sol.solution, x), (name, label)
-                    assert sol.success_probability == success, (name, label)
-                    assert sol.clock_leakage == leakage, (name, label)
-                    checked += 1
+        for label, _, prep in bundled_systems(n_clock):
+            for b in (rng.standard_normal(prep.dimension), np.ones(prep.dimension)):
+                sol = circuit_solve(prep, b)
+                x, success, leakage = solve_without_spare(prep, b)
+                assert np.array_equal(sol.solution, x), label
+                assert sol.success_probability == success, label
+                assert sol.clock_leakage == leakage, label
+                checked += 1
         assert checked >= 20
 
     def test_rotation_with_spare_matches_without(self):
@@ -542,34 +546,106 @@ class TestDoubleBuffer:
         assert np.array_equal(out.amplitudes, reference.amplitudes)
         assert {id(out.amplitudes), id(out.spare)} == {id(buf) for buf in buffers}
 
-    def test_solution_shares_no_memory_with_buffers(self, monkeypatch):
-        seen = []
-        extract = sv.extract_register
-
-        def keep_state(state):
-            seen.append(state)
-            return extract(state)
-
-        monkeypatch.setattr(sv, "extract_register", keep_state)
+    def test_solution_shares_no_memory_with_buffers(self):
         prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=3))
         for b in (np.array([0.2, 0.9]), np.array([0.2 + 0.1j, 0.9])):
-            sol = hhl.solve(prep, b)
-            state = seen.pop()
-            assert state.spare is not None
-            assert not np.shares_memory(sol.solution, state.amplitudes)
-            assert not np.shares_memory(sol.solution, state.spare)
+            run = hhl.run_circuit(prep, b / np.linalg.norm(b))
+            assert run.state.spare is not None
+            assert not np.shares_memory(run.slice, run.state.amplitudes)
+            assert not np.shares_memory(run.slice, run.state.spare)
 
     def test_peak_memory_of_a_large_solve(self):
         mats = network.build_b_matrices(cases.load("chain_16"))
         prep = hhl.prepare_system(mats.b_prime, hhl.HHLConfig(n_clock=9))
         state_bytes = (1 << prep.layout.n_qubits) * np.dtype(complex).itemsize
         b = np.random.default_rng(5).standard_normal(prep.dimension)
-        hhl.solve(prep, b)  # numpy's own lazy set-up is not the solve's
+        circuit_solve(prep, b)  # numpy's own lazy set-up is not the circuit's
+        tracemalloc.start()
+        try:
+            circuit_solve(prep, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the state and its spare, plus temporaries of at most half a state
+        assert peak <= 3.5 * state_bytes
+
+
+class TestGainTable:
+    """solve applies the prepared gain table; the full-state circuit is the reference."""
+
+    @pytest.mark.parametrize("n_clock", range(2, 11))
+    def test_matches_full_circuit(self, n_clock):
+        # Both paths round the basis change Q^H b at about n eps ||b||, and the
+        # largest gain amplifies that: an eigenvector whose own gain is 1e-4 of
+        # the largest (chain_16 at n_clock=2) is off by 1e-11 relative in both,
+        # against the same circuit evaluated to 40 digits. Hence the floor.
+        rng = np.random.default_rng(200 + n_clock)
+        for label, mat, prep in bundled_systems(n_clock):
+            n = prep.dimension
+            rhs = [rng.standard_normal(n), np.ones(n), *np.linalg.eigh(mat)[1].T]
+            for k, b in enumerate(rhs):
+                sol = hhl.solve(prep, b)
+                ref = circuit_solve(prep, b)
+                x = ref.solution
+                rounding = n * np.finfo(float).eps * np.abs(prep.gains).max() * (
+                    np.linalg.norm(b) * prep.scale / prep.rotation_constant
+                )
+                assert np.abs(sol.solution - x).max() <= 1e-12 * np.abs(x).max() + rounding, (
+                    label, k,
+                )
+                assert sol.success_probability == pytest.approx(
+                    ref.success_probability, rel=1e-12, abs=0.0
+                ), (label, k)
+                leakage = ref.clock_leakage
+                assert abs(sol.clock_leakage - leakage) <= 1e-9 * leakage + 1e-20, (label, k)
+
+    def test_tables_are_per_eigenvector(self):
+        # an eigenvector input sees its own gain, mass and leakage, and nothing else
+        b = np.diag([1.0, 1.37])  # no integer landing at 2 clock qubits: both leak
+        prep = hhl.prepare_system(b, hhl.HHLConfig(n_clock=2))
+        assert prep.leakage_mass.min() > 1e-6
+        for j in range(2):
+            sol = hhl.solve(prep, prep.padded_eigenvectors[:2, j])
+            p = prep.post_selection_mass[j]
+            assert sol.success_probability == pytest.approx(p, rel=1e-14)
+            assert sol.clock_leakage == pytest.approx(prep.leakage_mass[j] / p, rel=1e-14)
+            gain = prep.gains[j] * prep.scale / prep.rotation_constant
+            assert np.abs(sol.solution - gain * prep.padded_eigenvectors[:2, j]).max() < 1e-15
+
+    def test_warm_solve_allocates_no_state(self):
+        mats = network.build_b_matrices(cases.load("chain_16"))
+        prep = hhl.prepare_system(mats.b_prime, hhl.HHLConfig(n_clock=9))
+        state_bytes = (1 << prep.layout.n_qubits) * np.dtype(complex).itemsize
+        b = np.random.default_rng(5).standard_normal(prep.dimension)
+        hhl.solve(prep, b)
         tracemalloc.start()
         try:
             hhl.solve(prep, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the state and its spare, plus temporaries of at most half a state
-        assert peak <= 3.5 * state_bytes
+        assert peak < state_bytes / 16
+
+    def test_prepare_runs_the_circuit_once(self, monkeypatch):
+        runs = []
+        original = hhl.run_circuit
+        monkeypatch.setattr(hhl, "run_circuit", lambda *a: runs.append(a) or original(*a))
+        prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=3))
+        assert len(runs) == 1
+        probe = runs[0][1]
+        # the probe is Q (1, ..., 1)/sqrt(n): unit weight on every eigenvector
+        assert np.abs(prep.padded_eigenvectors.conj().T @ probe - 1 / math.sqrt(2)).max() < 1e-15
+        for b in (np.array([1.0, 0.0]), np.array([0.3, -0.7])):
+            hhl.solve(prep, b)
+        assert len(runs) == 1
+
+    def test_rejects_what_the_circuit_rejects(self):
+        # tables edited in place: a vanishing post-selection, then a vanishing slice
+        prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))
+        object.__setattr__(prep, "post_selection_mass", np.full(2, 1e-13))
+        with pytest.raises(sv.PostSelectionError, match="outcome 1 has probability 1.000e-13"):
+            hhl.solve(prep, np.array([1.0, 0.0]))
+        prep = hhl.prepare_system(B_MIXED, hhl.HHLConfig(n_clock=2))
+        object.__setattr__(prep, "gains", np.zeros(2, dtype=complex))
+        with pytest.raises(ValueError, match=r"clock=0, ancilla=1 has zero norm \(0.000e\+00\)"):
+            hhl.solve(prep, np.array([1.0, 0.0]))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dense_reference import validated_solve_direct
+from dense_reference import circuit_solve, validated_solve_direct
 from qpflow import caseio, cases, hhl, linalg, network, solvers, stochastic
 
 
@@ -310,6 +310,24 @@ class TestConstantMatrixRule:
             (network.Branch(1, 2, 0.0, 0.1),),
         )
         assert solvers.solve_newton(sick).iterations >= 1
+
+
+class TestGainTablePath:
+    """qpf's HHL solves apply a gain table; the full-state circuit is the reference."""
+
+    @pytest.mark.parametrize("n_clock", range(2, 11))
+    def test_reports_match_full_circuit_on_every_case(self, monkeypatch, n_clock):
+        config = solvers.SolverConfig(method="qpf", hhl=hhl.HHLConfig(n_clock=n_clock))
+        table = {name: solvers.solve_qpf(cases.load(name), config) for name in cases.NAMES}
+        monkeypatch.setattr(hhl, "solve", circuit_solve)
+        for name in cases.NAMES:
+            ref = solvers.solve_qpf(cases.load(name), config)
+            got = table[name]
+            assert (got.converged, got.iterations, got.warnings) == (
+                ref.converged, ref.iterations, ref.warnings,
+            ), name
+            assert np.abs(got.v - ref.v).max() <= 1e-12, name
+            assert np.abs(got.theta - ref.theta).max() <= 1e-12, name
 
 
 class TestQuantumBookkeeping:
